@@ -27,7 +27,6 @@ from .core import (
     cylinder,
     decode,
     evaluate,
-    shift_digits,
     shift_value,
 )
 from .derivative import (
@@ -98,7 +97,6 @@ __all__ = [
     "expected_log_ratio",
     "integral_bracket",
     "monotonicity_witnesses",
-    "shift_digits",
     "shift_value",
     "verify_bijection",
 ]

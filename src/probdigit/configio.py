@@ -25,10 +25,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-def render_rational(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def _parse_bracket_list(text: str) -> list[Fraction]:
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
@@ -84,10 +80,10 @@ def parse_distribution(text: str) -> ProbVector:
 
 def render_distribution(pv: ProbVector) -> str:
     if isinstance(pv, Geometric):
-        return f"geometric q={render_rational(pv.q)}"
+        return f"geometric q={pv.q}"
     if isinstance(pv, MixedHeadTail):
-        head = ",".join(render_rational(h) for h in pv.head)
-        return f"mixed head=[{head}] tail_q={render_rational(pv.tail_q)}"
+        head = ",".join(str(h) for h in pv.head)
+        return f"mixed head=[{head}] tail_q={pv.tail_q}"
     raise TypeError(f"cannot render {type(pv).__name__}")
 
 

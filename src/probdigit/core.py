@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -58,12 +59,14 @@ class GeometricForm(NamedTuple):
 class ProbVector:
     """Base class for closed-form weight families on the positive integers.
 
-    Subclasses provide exact per-digit mass ``p(j)``, the prefix sum
-    ``prefix(n)`` (mass strictly below digit ``n``, so ``prefix(1) == 0``),
-    the complementary ``tail_mass(n)``, and the eventually geometric forms
-    that power exact series summation.  Instances are immutable and compare
-    equal when they assign the same mass to every digit, regardless of how
-    they were described.
+    Subclasses provide only validation, the exact per-digit mass ``p(j)``,
+    the prefix sum ``prefix(n)`` (mass strictly below digit ``n``, so
+    ``prefix(1) == 0``) and the eventually geometric ``value_form``.
+    Everything else follows here: the complementary ``tail_mass``, the
+    ``prefix_form`` that powers exact series summation, and the float hint
+    for the digit search.  Instances are immutable and compare equal when
+    they assign the same mass to every digit, regardless of how they were
+    described.
     """
 
     def p(self, j: int) -> Fraction:
@@ -72,33 +75,48 @@ class ProbVector:
     def prefix(self, n: int) -> Fraction:
         raise NotImplementedError
 
-    def tail_mass(self, n: int) -> Fraction:
-        """Mass carried by digits >= n, computed from the family's own closed
-        form rather than as 1 - prefix(n)."""
-        raise NotImplementedError
-
     def value_form(self) -> GeometricForm:
         raise NotImplementedError
 
+    def tail_mass(self, n: int) -> Fraction:
+        """Mass carried by digits >= n."""
+        return ONE - self.prefix(n)
+
     def prefix_form(self) -> GeometricForm:
-        raise NotImplementedError
+        """Summing the value form's geometric tail: from `start` on,
+        prefix(n) = 1 - sum over j >= n of coeff * ratio**j."""
+        start, coeff, ratio = self.value_form()
+        return GeometricForm(start, coeff / (ONE - ratio), ratio)
+
+    @cached_property
+    def _log_prefix_form(self) -> tuple[float, float]:
+        # logs of the big integers, so that no coefficient overflows a float
+        _, coeff, ratio = self.prefix_form()
+        return (
+            math.log(coeff.numerator) - math.log(coeff.denominator),
+            math.log(ratio.numerator) - math.log(ratio.denominator),
+        )
 
     def digit_guess(self, x: Fraction) -> int | None:
-        """Optional float-assisted starting point for the digit search.
+        """Float-assisted starting point for the digit search.
 
-        Purely a hint: `digit_of` verifies every candidate with exact
-        comparisons, so a wrong or missing guess costs time, never
-        correctness.
+        Inverts the prefix form 1 - x = coeff * ratio**n in floats.  Purely a
+        hint: `digit_of` verifies every candidate with exact comparisons, so
+        a wrong or missing guess costs time, never correctness.  A ratio
+        within float precision of 1 has a log of 0.0 and gives no guess.
         """
-        return None
+        rem = float(ONE - x)
+        log_coeff, log_ratio = self._log_prefix_form
+        if rem <= 0.0 or log_ratio == 0.0:
+            return None
+        n = math.floor((math.log(rem) - log_coeff) / log_ratio)
+        return n if 1 <= n < 10**9 else None
 
     def digit_of(self, x: Fraction) -> int:
         """The unique digit n with prefix(n) <= x < prefix(n+1)."""
         if not (ZERO <= x < ONE):
             raise DomainError(f"x must lie in [0, 1), got {x}")
         hi = self.digit_guess(x) or 1
-        if hi < 1:
-            hi = 1
         while self.prefix(hi + 1) <= x:
             hi *= 2
         lo = 1
@@ -157,25 +175,8 @@ class Geometric(ProbVector):
         _check_digit(n)
         return ONE - self.q ** (n - 1)
 
-    def tail_mass(self, n: int) -> Fraction:
-        _check_digit(n)
-        return self.q ** (n - 1)
-
     def value_form(self) -> GeometricForm:
         return GeometricForm(1, (ONE - self.q) / self.q, self.q)
-
-    def prefix_form(self) -> GeometricForm:
-        return GeometricForm(1, ONE / self.q, self.q)
-
-    def digit_guess(self, x: Fraction) -> int | None:
-        try:
-            rem = float(ONE - x)
-        except OverflowError:
-            return None
-        if rem <= 0.0:
-            return None
-        n = math.floor(math.log(rem) / math.log(float(self.q))) + 1
-        return n if 1 <= n < 10**9 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,21 +229,10 @@ class MixedHeadTail(ProbVector):
             return self._cum[n - 1]
         return ONE - self._leftover * self.tail_q ** (n - m - 1)
 
-    def tail_mass(self, n: int) -> Fraction:
-        _check_digit(n)
-        m = len(self.head)
-        if n <= m + 1:
-            return sum(self.head[n - 1 :], ZERO) + self._leftover
-        return self._leftover * self.tail_q ** (n - m - 1)
-
     def value_form(self) -> GeometricForm:
         m = len(self.head)
         coeff = self._leftover * (ONE - self.tail_q) / self.tail_q ** (m + 1)
         return GeometricForm(m + 1, coeff, self.tail_q)
-
-    def prefix_form(self) -> GeometricForm:
-        m = len(self.head)
-        return GeometricForm(m + 1, self._leftover / self.tail_q ** (m + 1), self.tail_q)
 
 
 @dataclass(frozen=True)
@@ -396,24 +386,16 @@ def shift_value(pv: ProbVector, x: Rational) -> Fraction:
     return (x - pv.prefix(n)) / pv.p(n)
 
 
-def shift_digits(seq: DigitSeq, count: int) -> DigitSeq:
-    """Digit-level shift: drop the first `count` digits of the sequence."""
-    return seq.drop(count)
-
-
 def cylinder(pv: ProbVector, prefix: DigitSeq) -> Cylinder:
     """The half-open interval spanned by all continuations of `prefix`.
 
     The upper endpoint is the value of the prefix with its last digit bumped
-    by one; the width is the product of the prefix digit masses, and the two
-    agree exactly.
+    by one; the width is the product of the prefix digit masses (the
+    evaluation's error bound), and the two agree exactly.
     """
     if not prefix.digits:
         raise ValueError("cylinder needs a nonempty digit prefix")
     base = DigitSeq(prefix.digits)
-    lo = evaluate(pv, base).value
+    lo, width = evaluate(pv, base)
     hi = evaluate(pv, base.bump_last()).value
-    width = ONE
-    for d in base.digits:
-        width *= pv.p(d)
     return Cylinder(base, lo, hi, width)

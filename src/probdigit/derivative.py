@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import DigitSeq, ONE
-from .remap import DigitRemap
+from .remap import DigitRemap, _eventual_start
 
 
 def derivative_ratio(remap: DigitRemap, digit: int) -> Fraction:
@@ -161,8 +161,7 @@ def expected_log_ratio(remap: DigitRemap, terms: int = 60) -> LogRatioDiagnostic
     sv = src.value_form()
     tv = tgt.value_form()
     ev = phi.eventual_structure()
-    reach = max(abs(c) for c in ev.offsets)
-    n = max(terms, sv.start, ev.start, tv.start + reach)
+    n = max(terms, _eventual_start(sv, tv, ev))
     total = 0.0
     for j in range(1, n + 1):
         ratio = tgt.p(phi.apply(j)) / src.p(j)

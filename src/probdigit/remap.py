@@ -24,12 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bijections import DigitBijection, TablePermutation, verify_bijection
+from .bijections import DigitBijection, EventualShift, TablePermutation, verify_bijection
 from .core import (
     ONE,
     ZERO,
     DigitSeq,
     Evaluation,
+    GeometricForm,
     ProbVector,
     Rational,
     as_fraction,
@@ -150,28 +151,39 @@ class IntegralBracket(NamedTuple):
         return self.lower <= x <= self.upper
 
 
-def _series_sums_exact(remap: DigitRemap) -> tuple[Fraction, Fraction]:
-    """Exact (sum prefix_target(phi(j)) p_j, sum p_target(phi(j)) p_j).
-
-    Past a common start index, p_j, the target masses and the digit map are
-    all in closed form, so each residue class of the map's eventual period
-    contributes plain geometric series; everything before that start is summed
-    term by term.
-    """
+def _digit_sums(remap: DigitRemap, count: int) -> tuple[Fraction, Fraction]:
+    """(sum prefix_target(phi(j)) p_j, sum p_target(phi(j)) p_j) over j = 1..count."""
     src, tgt, phi = remap.source, remap.target, remap.digit_map
-    sv = src.value_form()
-    tv = tgt.value_form()
-    tp = tgt.prefix_form()
-    ev = phi.eventual_structure()
-    reach = max(abs(c) for c in ev.offsets)
-    start = max(sv.start, ev.start, tv.start + reach, tp.start + reach)
     s_pref = ZERO
     s_mass = ZERO
-    for j in range(1, start):
+    for j in range(1, count + 1):
         m = phi.apply(j)
         pj = src.p(j)
         s_pref += tgt.prefix(m) * pj
         s_mass += tgt.p(m) * pj
+    return s_pref, s_mass
+
+
+def _eventual_start(sv: GeometricForm, tv: GeometricForm, ev: EventualShift) -> int:
+    """First digit j from which p_j (source value form `sv`), the digit map
+    (`ev`) and the target forms at phi(j) (`tv`) all hold."""
+    return max(sv.start, ev.start, tv.start + max(abs(c) for c in ev.offsets))
+
+
+def _series_sums_exact(remap: DigitRemap) -> tuple[Fraction, Fraction]:
+    """Exact (sum prefix_target(phi(j)) p_j, sum p_target(phi(j)) p_j).
+
+    Past `_eventual_start`, p_j, the target masses and the digit map are all
+    in closed form, so each residue class of the map's eventual period
+    contributes plain geometric series; everything before that start is summed
+    term by term.
+    """
+    sv = remap.source.value_form()
+    tv = remap.target.value_form()
+    tp = remap.target.prefix_form()
+    ev = remap.digit_map.eventual_structure()
+    start = _eventual_start(sv, tv, ev)
+    s_pref, s_mass = _digit_sums(remap, start - 1)
     period = ev.period
     z = sv.ratio * tv.ratio
     z_step = ONE - z**period
@@ -221,15 +233,8 @@ def closed_form_integral(
     n = terms if terms is not None else _terms_for_tolerance(remap.source, tol)
     if n < 1:
         raise ValueError("terms must be at least 1")
-    src, tgt, phi = remap.source, remap.target, remap.digit_map
-    s_pref = ZERO
-    s_mass = ZERO
-    for j in range(1, n + 1):
-        m = phi.apply(j)
-        pj = src.p(j)
-        s_pref += tgt.prefix(m) * pj
-        s_mass += tgt.p(m) * pj
-    slack = src.tail_mass(n + 1)
+    s_pref, s_mass = _digit_sums(remap, n)
+    slack = remap.source.tail_mass(n + 1)
     denom_hi = ONE - s_mass
     denom_lo = denom_hi - slack
     if denom_lo <= 0:
@@ -260,17 +265,9 @@ def integral_bracket(
         raise ValueError("depth must be at least 1")
     if digit_cap < 1:
         raise ValueError("digit_cap must be at least 1")
-    src, tgt, phi = remap.source, remap.target, remap.digit_map
-    covered = src.prefix(digit_cap + 1)
-    mass_sum = ZERO
-    pref_sum = ZERO
-    for n in range(1, digit_cap + 1):
-        m = phi.apply(n)
-        pn = src.p(n)
-        mass_sum += pn * tgt.p(m)
-        pref_sum += pn * tgt.prefix(m)
+    pref_sum, mass_sum = _digit_sums(remap, digit_cap)
+    band = remap.source.tail_mass(digit_cap + 1)
     lower, upper = ZERO, ONE
-    band = ONE - covered
     for _ in range(depth):
         lower = pref_sum + mass_sum * lower
         upper = pref_sum + mass_sum * upper + band
@@ -286,22 +283,25 @@ class OrderWitnesses:
     decreasing: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]] | None
 
 
-def monotonicity_witnesses(
-    remap: DigitRemap, digit_bound: int = 4, prefix_len: int = 2
-) -> OrderWitnesses:
-    """Search short digit prefixes for evidence that the remap is not monotone.
+def monotonicity_witnesses(remap: DigitRemap) -> OrderWitnesses:
+    """Search one-digit prefix points for evidence that the remap is not monotone.
 
-    Evaluates the exact image of every prefix point with digits up to
-    `digit_bound`, then looks for a pair that rises and a pair that falls.
-    Any non-identity digit map at desk scale yields both within two-digit
-    prefixes.
+    Evaluates the exact image of every point named by a single digit
+    1..start+period, with `start` and `period` from the digit map's eventual
+    structure, then looks for a pair that rises and a pair that falls.  The
+    first digit orders the image cylinders, so these points rise and fall
+    exactly as the digit map does.  That finds both for any non-identity map:
+    digits `start` and `start + period` share an offset and so rise, and a
+    non-identity map has an inversion among its first `start + period`
+    digits (a table permutes its head 1..start-1, the pair swap inverts 1
+    and 2).  It evaluates start + period points and compares at most every
+    pair of them.
     """
+    ev = remap.digit_map.eventual_structure()
     points = []
-    for digits in itertools.product(range(1, digit_bound + 1), repeat=prefix_len):
-        seq = DigitSeq(digits)
-        x = evaluate(remap.source, seq).value
-        points.append((x, remap.point_value(seq)))
-    points.sort()
+    for digit in range(1, ev.start + ev.period + 1):
+        seq = DigitSeq((digit,))
+        points.append((evaluate(remap.source, seq).value, remap.point_value(seq)))
     increasing = decreasing = None
     for a, b in itertools.combinations(points, 2):
         if a[1] < b[1]:

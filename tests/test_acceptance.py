@@ -187,7 +187,7 @@ def test_criterion_8_continuity_modulus():
 
 def test_criterion_9_non_monotonicity_witnesses():
     started = time.monotonic()
-    found = monotonicity_witnesses(SWAP, digit_bound=4, prefix_len=2)
+    found = monotonicity_witnesses(SWAP)
     assert found.increasing is not None, "no order-preserving pair found"
     assert found.decreasing is not None, "no order-reversing pair found"
     (x1, y1), (x2, y2) = found.increasing

@@ -89,6 +89,20 @@ def test_integral_self_check_failure_exits_3(capsys, monkeypatch):
     assert "outside the bracket" in err
 
 
+def test_integral_rejects_zero_samples(capsys):
+    code, out, err = run(capsys, ["integral", *SWAP, "--samples", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: samples must be at least 2\n"
+
+
+def test_integral_rejects_one_sample(capsys):
+    code, out, err = run(capsys, ["integral", *SWAP, "--samples", "1"])
+    assert code == 2
+    assert "nan" not in out
+    assert err == "error: samples must be at least 2\n"
+
+
 def test_sample_identity_writes_grid(capsys, tmp_path):
     out_path = tmp_path / "grid.csv"
     code, _, _ = run(capsys, ["sample", *IDENT, "--count", "4", "--out", str(out_path)])
@@ -152,6 +166,12 @@ def test_selfcheck_corrupt_table_exits_1(capsys):
     assert "FAIL  digit-map-bijectivity" in out
     assert "collision at 2" in out
     assert "failed at digit-map-bijectivity" in err
+
+
+def test_selfcheck_finds_witnesses_past_the_fourth_digit(capsys):
+    code, out, _ = run(capsys, ["selfcheck", "--phi", "table:[4,3,2,1]"])
+    assert code == 0
+    assert "ok    non-monotonicity" in out
 
 
 def test_config_file_drives_commands(capsys, tmp_path):

@@ -21,7 +21,6 @@ from probdigit import (
     cylinder,
     decode,
     evaluate,
-    shift_digits,
     shift_value,
 )
 
@@ -145,7 +144,7 @@ class TestEvaluate:
         if not digits:
             return
         whole = evaluate(pv, seq).value
-        rest = evaluate(pv, shift_digits(seq, 1)).value
+        rest = evaluate(pv, seq.drop(1)).value
         assert whole == pv.prefix(digits[0]) + pv.p(digits[0]) * rest
 
 
@@ -167,6 +166,14 @@ class TestDecode:
             decode(half, F(-1, 10), 3)
         with pytest.raises(ValueError):
             decode(half, F(1, 3), 0)
+
+    def test_ratio_within_float_precision_of_one(self):
+        # log(ratio) rounds to 0.0 here, so the float hint must step aside
+        q = 1 - F(1, 10**20)
+        seq = DigitSeq.of(2, 3, 1, 2)
+        for pv in (Geometric(q), MixedHeadTail((F(1, 2),), q)):
+            assert pv.digit_of(pv.prefix(3)) == 3
+            assert decode(pv, evaluate(pv, seq).value, 4) == seq
 
     def test_decoded_cylinder_contains_the_point(self, half, twothirds):
         for pv in (half, twothirds):
@@ -210,16 +217,16 @@ class TestShift:
 
     def test_digit_shift_drops_prefix(self):
         seq = DigitSeq.of(1, 2, 1, 3)
-        assert shift_digits(seq, 1) == DigitSeq.of(2, 1, 3)
-        assert shift_digits(seq, 0) == seq
-        assert shift_digits(DigitSeq.of(2), 1) == DigitSeq()
+        assert seq.drop(1) == DigitSeq.of(2, 1, 3)
+        assert seq.drop(0) == seq
+        assert DigitSeq.of(2).drop(1) == DigitSeq()
 
     def test_value_and_digit_shifts_agree(self, half):
         seq = DigitSeq.of(1, 2, 1, 3)
         x = evaluate(half, seq).value
         for k in range(1, 4):
             x = shift_value(half, x)
-            assert x == evaluate(half, shift_digits(seq, k)).value
+            assert x == evaluate(half, seq.drop(k)).value
 
 
 class TestCylinder:

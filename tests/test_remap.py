@@ -7,6 +7,7 @@ sums for constant tails, partial sums of the expansion formula at depth 50,
 the bracket recursion.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -300,7 +301,7 @@ class TestContinuityModulus:
 
 class TestMonotonicityWitnesses:
     def test_pairswap_rises_and_falls_within_two_digit_prefixes(self, swap_remap):
-        found = monotonicity_witnesses(swap_remap, digit_bound=4, prefix_len=2)
+        found = monotonicity_witnesses(swap_remap)
         assert found.increasing is not None
         assert found.decreasing is not None
         (x1, y1), (x2, y2) = found.increasing
@@ -316,3 +317,20 @@ class TestMonotonicityWitnesses:
     def test_table_map_also_non_monotone(self, table_remap):
         found = monotonicity_witnesses(table_remap)
         assert found.increasing and found.decreasing
+
+    def test_every_non_identity_permutation_up_to_five_rises_and_falls(self, half, mixed):
+        for size in range(2, 6):
+            for table in itertools.permutations(range(1, size + 1)):
+                phi = TablePermutation(table)
+                if phi.is_identity():
+                    continue
+                found = monotonicity_witnesses(DigitRemap(half, mixed, phi))
+                assert found.increasing and found.decreasing, table
+
+    def test_large_table_inverted_only_at_its_end(self, half, mixed):
+        # the only inversion sits at digits 127 and 128 of a 128-entry table
+        phi = TablePermutation(tuple(range(1, 127)) + (128, 127))
+        found = monotonicity_witnesses(DigitRemap(half, mixed, phi))
+        (x1, y1), (x2, y2) = found.decreasing
+        assert x1 == half.prefix(127) and x2 == half.prefix(128) and y1 > y2
+        assert found.increasing is not None
