@@ -8,7 +8,6 @@ and `probdigit.cli` the command-line front end.
 """
 
 from .bijections import (
-    BijectionReport,
     DigitBijection,
     Identity,
     PairSwap,
@@ -60,7 +59,6 @@ from .remap import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BijectionReport",
     "ClosedFormIntegral",
     "Cylinder",
     "DigitBijection",

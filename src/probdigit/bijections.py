@@ -2,8 +2,9 @@
 
 Only declaratively serializable kinds are supported: the identity, the
 odd/even pair swap (1<->2, 3<->4, ...), and a finite permutation table that
-acts as the identity beyond its length.  A finite description guarantees that
-bijectivity is checkable and that configs can be stored as plain text.
+acts as the identity beyond its length.  Each is a finite head followed by
+periodic offsets, so `verify_bijection` decides bijectivity exactly, and
+configs can be stored as plain text.
 """
 
 from __future__ import annotations
@@ -121,14 +122,8 @@ class TablePermutation(DigitBijection):
         return m
 
     def inverted(self) -> "TablePermutation":
-        inv = [0] * len(self.table)
-        for i, v in enumerate(self.table):
-            if v > len(self.table) or inv[v - 1]:
-                raise NotBijective(
-                    f"table {list(self.table)} is not a permutation of 1..{len(self.table)}"
-                )
-            inv[v - 1] = i + 1
-        return TablePermutation(tuple(inv))
+        verify_bijection(self)
+        return TablePermutation(tuple(i for _, i in sorted(self._inverse_table.items())))
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.table))
@@ -137,43 +132,39 @@ class TablePermutation(DigitBijection):
         return EventualShift(len(self.table) + 1, 1, (0,))
 
 
-@dataclass(frozen=True)
-class BijectionReport:
-    kind: str
-    checked_upper: int
+def verify_bijection(phi: DigitBijection) -> None:
+    """Decide exactly whether the digit map is a bijection of 1, 2, 3, ...
 
+    Raises NotBijective if it is not.  With c_r = offsets[r], class r mod
+    period moves by c_r into class s(r) = (r + c_r) % period from `start` on.
+    The map is a bijection exactly when (1) s permutes the residues, (2) the
+    head images phi(1..start-1) are distinct, and (3) they form the set N of
+    v >= 1 with no eventual preimage: v - c_r < start, r = s^-1(v % period).
 
-def verify_bijection(phi: DigitBijection, upper: int) -> BijectionReport:
-    """Confirm that the map is injective on 1..upper (and, for tables, that
-    the listed values are exactly a permutation of 1..M).
-
-    Raises NotBijective at the first collision found; otherwise returns a
-    small report of what was checked.
+    Proof: if s(r) == s(r'), every large j = r and j + c_r - c_r' = r' (mod
+    period) collide, so (1) is needed, as is (2).  Given (1), the eventual
+    part is injective and v's only eventual candidate is v - c_r.  So the map
+    is onto iff N holds no value outside the head image, and one-to-one
+    (given 2) iff no head image lies outside N.  Every v in N is below
+    start + max(offsets), so N is listed directly.
     """
-    if upper < 1:
-        raise ValueError("range bound must be at least 1")
-    if isinstance(phi, TablePermutation):
-        m = len(phi.table)
-        if sorted(phi.table) != list(range(1, m + 1)):
-            seen: dict[int, int] = {}
-            for i, v in enumerate(phi.table, start=1):
-                if v in seen:
-                    raise NotBijective(
-                        f"collision at {v}: inputs {seen[v]} and {i} both map to it"
-                    )
-                seen[v] = i
-            raise NotBijective(
-                f"table image {sorted(set(phi.table))} is not a permutation of 1..{m}"
-            )
-    seen_at = bytearray(upper + 2)
-    for n in range(1, upper + 1):
-        v = phi.apply(n)
-        if v >= len(seen_at):
-            seen_at.extend(bytes(v + 1 - len(seen_at)))
-        if seen_at[v]:
-            earlier = next(i for i in range(1, n) if phi.apply(i) == v)
-            raise NotBijective(
-                f"collision at {v}: inputs {earlier} and {n} both map to it"
-            )
-        seen_at[v] = 1
-    return BijectionReport(type(phi).__name__, upper)
+    start, period, offsets = phi.eventual_structure()
+    head = [phi.apply(n) for n in range(1, start)]
+    source_of = {(r + c) % period: r for r, c in enumerate(offsets)}
+    if len(source_of) < period:
+        raise NotBijective(
+            f"offsets {list(offsets)} send two residues mod {period} to one class"
+        )
+    first: dict[int, int] = {}
+    for n, v in enumerate(head, start=1):
+        if v in first:
+            raise NotBijective(f"collision at {v}: inputs {first[v]} and {n} both map to it")
+        first[v] = n
+    missed = {
+        v for v in range(1, start + max(offsets)) if v - offsets[source_of[v % period]] < start
+    }
+    if first.keys() != missed:
+        raise NotBijective(
+            f"digits below {start} map onto {sorted(first)}, not onto {sorted(missed)},"
+            " the values the periodic part misses"
+        )

@@ -50,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--phi", help="digit map descriptor")
         p.add_argument("--depth", help="expansion depth K")
         p.add_argument("--terms", help="series truncation length")
-        p.add_argument("--tol", help="series tail tolerance")
         p.add_argument("--seed", help="seed for float-path sampling")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--config", help="key=value config file; flags override it")
@@ -78,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict[str, str | None]:
-    keys = ("p", "o", "phi", "depth", "terms", "tol", "seed", "out")
+    keys = ("p", "o", "phi", "depth", "terms", "seed", "out")
     return {k: getattr(args, k, None) for k in keys}
 
 
@@ -111,7 +110,7 @@ def _cmd_eval_g(args: argparse.Namespace) -> int:
 def _cmd_integral(args: argparse.Namespace) -> int:
     cfg = _config(args)
     remap = _remap(cfg)
-    closed = closed_form_integral(remap, terms=cfg.terms, tol=cfg.tol)
+    closed = closed_form_integral(remap, terms=cfg.terms)
     bracket = integral_bracket(remap, args.bracket_depth)
     mc = numeric.monte_carlo_integral(remap, samples=args.samples, seed=cfg.seed)
     print(f"closed={closed.value} tail_bound={closed.tail_bound}")
@@ -157,7 +156,7 @@ def _selfcheck_rows(cfg: configio.RunConfig):
         )
 
     def check_bijectivity():
-        verify_bijection(cfg.digit_map, 1000)
+        verify_bijection(cfg.digit_map)
 
     def check_roundtrip():
         for pv in (cfg.source, cfg.target):

@@ -8,7 +8,7 @@ decimal strings):
     identity | pairswap | table:[2,3,1]
 
 Config files are key=value lines (# starts a comment) with the same keys the
-command line uses: p, o, phi, depth, terms, tol, seed, out.
+command line uses: p, o, phi, depth, terms, seed, out.
 """
 
 from __future__ import annotations
@@ -134,7 +134,6 @@ DEFAULTS: dict[str, str] = {
     "o": "geometric q=2/3",
     "phi": "pairswap",
     "depth": "16",
-    "tol": "1/1000000000000",
     "seed": "1729",
 }
 
@@ -146,7 +145,6 @@ class RunConfig:
     digit_map: DigitBijection
     depth: int
     terms: int | None
-    tol: Fraction
     seed: int
     out: str | None
 
@@ -164,9 +162,6 @@ def build_run_config(
     depth = int(values["depth"])
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    tol = parse_rational(values["tol"])
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     terms = int(values["terms"]) if values.get("terms") else None
     return RunConfig(
         source=parse_distribution(values["p"]),
@@ -174,7 +169,6 @@ def build_run_config(
         digit_map=parse_digit_map(values["phi"]),
         depth=depth,
         terms=terms,
-        tol=tol,
         seed=int(values["seed"]),
         out=values.get("out"),
     )

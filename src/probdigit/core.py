@@ -31,6 +31,7 @@ Rational = int | str | Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MAX_PREFIX_BITS = 1 << 18  # bit budget of one exact prefix; see ProbVector.digit_of
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -45,6 +46,11 @@ def as_fraction(value: Rational) -> Fraction:
             "floats are not accepted on the exact path; pass a Fraction, int or string"
         )
     return Fraction(value)
+
+
+def log_rational(x: Fraction) -> float:
+    """ln x from the big integers, finite even where float(x) under- or overflows."""
+    return math.log(x.numerator) - math.log(x.denominator)
 
 
 class GeometricForm(NamedTuple):
@@ -89,36 +95,44 @@ class ProbVector:
         return GeometricForm(start, coeff / (ONE - ratio), ratio)
 
     @cached_property
-    def _log_prefix_form(self) -> tuple[float, float]:
-        # logs of the big integers, so that no coefficient overflows a float
-        _, coeff, ratio = self.prefix_form()
-        return (
-            math.log(coeff.numerator) - math.log(coeff.denominator),
-            math.log(ratio.numerator) - math.log(ratio.denominator),
-        )
+    def _digit_search(self) -> tuple[float, float, int]:
+        # ln coeff and ln ratio of the prefix form (log1p near 1, so the log of
+        # a ratio within float precision of 1 stays negative), and max digit:
+        # past `start`, each digit adds the bits of the ratio's denominator
+        start, coeff, ratio = self.prefix_form()
+        log_ratio = math.log1p(float(ratio - ONE)) if 2 * ratio > ONE else log_rational(ratio)
+        max_digit = start + MAX_PREFIX_BITS // ratio.denominator.bit_length()
+        return log_rational(coeff), min(log_ratio, -math.ulp(0.0)), max_digit
 
-    def digit_guess(self, x: Fraction) -> int | None:
+    def digit_guess(self, x: Fraction) -> int:
         """Float-assisted starting point for the digit search.
 
-        Inverts the prefix form 1 - x = coeff * ratio**n in floats.  Purely a
-        hint: `digit_of` verifies every candidate with exact comparisons, so
-        a wrong or missing guess costs time, never correctness.  A ratio
-        within float precision of 1 has a log of 0.0 and gives no guess.
+        Inverts the prefix form 1 - x = coeff * ratio**n in floats (big-integer
+        logs of 1 - x only when it underflows) and clamps to 1..max digit.
+        Purely a hint: `digit_of` verifies every candidate with exact
+        comparisons, so a wrong guess costs time, never correctness.
         """
+        log_coeff, log_ratio, max_digit = self._digit_search
         rem = float(ONE - x)
-        log_coeff, log_ratio = self._log_prefix_form
-        if rem <= 0.0 or log_ratio == 0.0:
-            return None
-        n = math.floor((math.log(rem) - log_coeff) / log_ratio)
-        return n if 1 <= n < 10**9 else None
+        log_rem = math.log(rem) if rem > 0.0 else log_rational(ONE - x)
+        return math.floor(min(max((log_rem - log_coeff) / log_ratio, 1.0), max_digit))
 
     def digit_of(self, x: Fraction) -> int:
-        """The unique digit n with prefix(n) <= x < prefix(n+1)."""
+        """The unique digit n with prefix(n) <= x < prefix(n+1).
+
+        The bits of the exact prefix(n) grow linearly in n, so a huge digit
+        would be searched for without end; one whose prefix needs more than
+        MAX_PREFIX_BITS bits raises DomainError.  At that budget a whole
+        search stays under a second (2-vCPU host).
+        """
         if not (ZERO <= x < ONE):
             raise DomainError(f"x must lie in [0, 1), got {x}")
-        hi = self.digit_guess(x) or 1
+        max_digit = self._digit_search[2]
+        hi = self.digit_guess(x)
         while self.prefix(hi + 1) <= x:
-            hi *= 2
+            if hi >= max_digit:
+                raise DomainError(f"digit exceeds {max_digit}: its prefix needs over {MAX_PREFIX_BITS} bits")
+            hi = min(2 * hi, max_digit)
         lo = 1
         while lo < hi:
             mid = (lo + hi + 1) // 2

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import DigitSeq, ONE
+from .core import DigitSeq, ONE, log_rational
 from .remap import DigitRemap, _eventual_start
 
 
@@ -164,10 +164,7 @@ def expected_log_ratio(remap: DigitRemap, terms: int = 60) -> LogRatioDiagnostic
     n = max(terms, _eventual_start(sv, tv, ev))
     total = 0.0
     for j in range(1, n + 1):
-        ratio = tgt.p(phi.apply(j)) / src.p(j)
-        total += float(src.p(j)) * (
-            math.log(ratio.numerator) - math.log(ratio.denominator)
-        )
+        total += float(src.p(j)) * log_rational(tgt.p(phi.apply(j)) / src.p(j))
     qp = float(sv.ratio)
     ap = float(sv.coeff)
     qo = float(tv.ratio)

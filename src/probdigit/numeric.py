@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import constant_point
+from .core import constant_point, log_rational
 from .remap import DigitRemap
 
 _BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -41,7 +41,11 @@ def _tables(remap: DigitRemap) -> _FloatTables:
     image = [phi.apply(n) for n in range(1, DIGIT_CAP + 1)]
     image_prefix = np.array([float(tgt.prefix(m)) for m in image])
     image_mass = np.array([float(tgt.p(m)) for m in image])
-    log_ratio = np.log(image_mass) - np.log(mass)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(image_mass) - np.log(mass)
+    # a mass that underflows a float takes its ratio's log from the exact ratio
+    for i in np.flatnonzero(~np.isfinite(log_ratio)).tolist():
+        log_ratio[i] = log_rational(tgt.p(image[i]) / src.p(i + 1))
     tail_const = float(constant_point(tgt, phi.apply(1)))
     return _FloatTables(prefix, mass, image_prefix, image_mass, log_ratio, tail_const)
 

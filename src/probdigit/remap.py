@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bijections import DigitBijection, EventualShift, TablePermutation, verify_bijection
+from .bijections import DigitBijection, EventualShift, verify_bijection
 from .core import (
     ONE,
     ZERO,
@@ -49,8 +49,7 @@ class DigitRemap:
     digit_map: DigitBijection
 
     def __post_init__(self) -> None:
-        if isinstance(self.digit_map, TablePermutation):
-            verify_bijection(self.digit_map, len(self.digit_map.table))
+        verify_bijection(self.digit_map)
 
     @property
     def is_identity(self) -> bool:
@@ -199,17 +198,16 @@ def _series_sums_exact(remap: DigitRemap) -> tuple[Fraction, Fraction]:
 
 
 def _terms_for_tolerance(src: ProbVector, tol: Fraction) -> int:
-    n = 1
-    while src.tail_mass(n + 1) > tol:
-        n *= 2
-    lo, hi = max(1, n // 2), n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if src.tail_mass(mid + 1) > tol:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    """Fewest terms n >= 1 with tail_mass(n + 1) <= tol, i.e. with
+    prefix(n + 1) >= 1 - tol: the digit of 1 - tol, or one less when that
+    digit's own prefix already equals 1 - tol."""
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    if tol >= 1:
+        return 1
+    x = ONE - Fraction(tol)
+    n = src.digit_of(x)
+    return n - 1 if n > 1 and src.prefix(n) == x else n
 
 
 def closed_form_integral(

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +45,24 @@ def identity_remap(half):
 @pytest.fixture(scope="session")
 def table_remap(half, mixed):
     return DigitRemap(half, mixed, TablePermutation((3, 1, 2)))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def run_bounded():
+    """Run `python <args>` in a child process, killed after `timeout` seconds.
+
+    A call that regresses into an endless search then fails this test with
+    subprocess.TimeoutExpired instead of stalling the whole suite.
+    """
+
+    def run(*args: str, timeout: float = 20) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
+        )
+
+    return run

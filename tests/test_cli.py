@@ -61,6 +61,17 @@ def test_unknown_flag_exits_2(capsys):
     assert code == 2
 
 
+def test_decode_refuses_an_astronomical_digit_promptly(run_bounded):
+    q = "99999999999999999999/100000000000000000000"
+    done = run_bounded(
+        "-m", "probdigit.cli", "decode", "--p", f"geometric q={q}", "--x", "1/2", "--depth", "2"
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: digit exceeds ")
+    assert done.stderr.count("\n") == 1
+
+
 def test_integral_identity_reports_half(capsys):
     code, out, _ = run(capsys, ["integral", *IDENT, "--samples", "20000"])
     assert code == 0

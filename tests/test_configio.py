@@ -86,5 +86,4 @@ def test_config_file_rejects_garbage(tmp_path):
 def test_defaults_are_complete():
     cfg = build_run_config(None, {})
     assert cfg.depth >= 1
-    assert cfg.tol > 0
     assert cfg.terms is None

@@ -175,6 +175,27 @@ class TestDecode:
             assert pv.digit_of(pv.prefix(3)) == 3
             assert decode(pv, evaluate(pv, seq).value, 4) == seq
 
+    def test_digit_past_the_float_range_decodes(self, half):
+        # 1 - x underflows a float, so the hint takes big-integer logs
+        assert decode(half, 1 - F(1, 2**3000), 2) == DigitSeq.of(3001, 1)
+
+    def test_digit_past_the_bit_budget_is_refused_promptly(self, run_bounded):
+        script = (
+            "from fractions import Fraction as F\n"
+            "from probdigit import DomainError, Geometric\n"
+            "for q in (1 - F(1, 10**20), 1 - F(1, 10**400)):\n"
+            "    pv = Geometric(q)\n"
+            "    assert pv.digit_of(F(0)) == 1\n"
+            "    try:\n"
+            "        pv.digit_of(F(1, 2))\n"
+            "    except DomainError as exc:\n"
+            "        print(exc)\n"
+        )
+        done = run_bounded("-c", script)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 2 and all(line.startswith("digit exceeds ") for line in lines)
+
     def test_decoded_cylinder_contains_the_point(self, half, twothirds):
         for pv in (half, twothirds):
             for num in range(0, 97, 7):

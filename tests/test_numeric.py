@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from probdigit import closed_form_integral, expected_log_ratio
+from probdigit import (
+    DigitRemap,
+    Geometric,
+    MixedHeadTail,
+    PairSwap,
+    closed_form_integral,
+    expected_log_ratio,
+)
 from probdigit.numeric import (
     log_derivative_paths,
     log_ratio_moments,
@@ -42,6 +49,15 @@ def test_log_ratio_moments_match_diagnostic(swap_remap):
     mean, sd = log_ratio_moments(swap_remap)
     assert abs(mean - expected_log_ratio(swap_remap, 64).value) < 1e-12
     assert sd > 0
+
+
+def test_log_ratio_stays_finite_when_source_masses_underflow():
+    # source masses from digit 4 on underflow to 0.0 as floats
+    source = MixedHeadTail((F(1, 2),), F(1, 10**320))
+    remap = DigitRemap(source, Geometric(F(2, 3)), PairSwap())
+    _, ys, dlog = sample_rows(remap, 8)
+    assert np.all(np.isfinite(ys)) and np.all(np.isfinite(dlog))
+    assert all(math.isfinite(v) for v in log_ratio_moments(remap))
 
 
 def test_log_derivative_paths_concentrate(swap_remap):

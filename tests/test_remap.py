@@ -215,6 +215,32 @@ class TestClosedFormIntegral:
         assert result.lo <= F(11, 25) <= result.hi
         assert result.tail_bound < F(1, 10**7)
 
+    def test_truncation_length_is_the_fewest_terms_within_tolerance(self, half, mixed):
+        from probdigit.remap import _terms_for_tolerance
+
+        for pv in (half, mixed, Geometric(F(7, 9))):
+            masses = [pv.tail_mass(k) for k in range(2, 60)]
+            for tol in [*masses, *(m + F(1, 10**40) for m in masses), *(m * F(9, 10) for m in masses)]:
+                fewest = next(n for n in itertools.count(1) if pv.tail_mass(n + 1) <= tol)
+                assert _terms_for_tolerance(pv, tol) == fewest
+            assert _terms_for_tolerance(pv, F(1)) == _terms_for_tolerance(pv, F(3)) == 1
+        # a float tolerance is compared exactly, as a Fraction would be
+        assert _terms_for_tolerance(half, 1e-300) == 997
+
+    def test_nonpositive_tolerance_is_refused_promptly(self, run_bounded):
+        script = (
+            "from probdigit import *\n"
+            "remap = DigitRemap(Geometric('1/2'), Geometric('2/3'), PairSwap())\n"
+            "for tol in (0, -1):\n"
+            "    try:\n"
+            "        closed_form_integral(remap, tol=tol, exact=False)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        done = run_bounded("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "tolerance must be positive\n" * 2
+
     def test_numerator_and_denominator_signs(self, swap_remap, table_remap, identity_remap):
         from probdigit.remap import _series_sums_exact
 
