@@ -15,13 +15,18 @@ Everything here runs on `fractions.Fraction`.  Floats are rejected at the
 boundary so that round-trips, orderings and widths are identities rather than
 approximations; the float fast path lives in `probdigit.numeric` and is never
 consulted by the exact operations.
+
+Nearly every digit read is small (digits are i.i.d. with the weight law), so
+each family computes its exact p(n) and prefix(n) for n <= DIGIT_CAP + 1 once
+and keeps them: at most 2 * (DIGIT_CAP + 1) values per family.  Larger digits
+are computed on every call and never stored.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -32,6 +37,9 @@ Rational = int | str | Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MAX_PREFIX_BITS = 1 << 18  # bit budget of one exact prefix; see ProbVector.digit_of
+# Digits 1..DIGIT_CAP + 1 are the head: memoized exactly per family, and the
+# float path and integral_bracket enumerate them one by one
+DIGIT_CAP = 64
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -53,6 +61,32 @@ def log_rational(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+def _check_digit(j: int) -> int:
+    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
+        raise ValueError(f"digits are positive integers, got {j!r}")
+    return j
+
+
+def _head_memoized(compute):
+    """Wrap a family's p or prefix: check the digit first (True and 1.0 hash
+    like 1, so a lookup would accept them), then serve digits up to
+    DIGIT_CAP + 1 from the family's memo, computing each one once."""
+    name = compute.__name__
+
+    @wraps(compute)
+    def method(self, n):
+        _check_digit(n)
+        memo = self._head_memo[name]
+        value = memo.get(n)
+        if value is None:
+            value = compute(self, n)
+            if n <= DIGIT_CAP + 1:
+                memo[n] = value
+        return value
+
+    return method
+
+
 class GeometricForm(NamedTuple):
     """Closed form valid from `start` on: value form p_j = coeff * ratio**j,
     prefix form prefix(n) = 1 - coeff * ratio**n."""
@@ -67,7 +101,8 @@ class ProbVector:
 
     Subclasses provide only validation, the exact per-digit mass ``p(j)``,
     the prefix sum ``prefix(n)`` (mass strictly below digit ``n``, so
-    ``prefix(1) == 0``) and the eventually geometric ``value_form``.
+    ``prefix(1) == 0``), both wrapped in ``_head_memoized``, and the
+    eventually geometric ``value_form``.
     Everything else follows here: the complementary ``tail_mass``, the
     ``prefix_form`` that powers exact series summation, and the float hint
     for the digit search.  Instances are immutable and compare equal when
@@ -83,6 +118,11 @@ class ProbVector:
 
     def value_form(self) -> GeometricForm:
         raise NotImplementedError
+
+    @cached_property
+    def _head_memo(self) -> dict[str, dict[int, Fraction]]:
+        # exact p(n) and prefix(n) for n <= DIGIT_CAP + 1, filled on first use
+        return {"p": {}, "prefix": {}}
 
     def tail_mass(self, n: int) -> Fraction:
         """Mass carried by digits >= n."""
@@ -128,12 +168,14 @@ class ProbVector:
         if not (ZERO <= x < ONE):
             raise DomainError(f"x must lie in [0, 1), got {x}")
         max_digit = self._digit_search[2]
-        hi = self.digit_guess(x)
+        # invariant: prefix(lo) <= x < prefix(hi + 1)
+        lo, hi = 1, self.digit_guess(x)
         while self.prefix(hi + 1) <= x:
             if hi >= max_digit:
                 raise DomainError(f"digit exceeds {max_digit}: its prefix needs over {MAX_PREFIX_BITS} bits")
-            hi = min(2 * hi, max_digit)
-        lo = 1
+            lo, hi = hi + 1, min(2 * hi, max_digit)
+        if lo < hi and self.prefix(hi) <= x:  # a right guess costs two comparisons
+            return hi
         while lo < hi:
             mid = (lo + hi + 1) // 2
             if self.prefix(mid) <= x:
@@ -158,12 +200,6 @@ class ProbVector:
         return hash(self._canonical_key())
 
 
-def _check_digit(j: int) -> int:
-    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
-        raise ValueError(f"digits are positive integers, got {j!r}")
-    return j
-
-
 @dataclass(frozen=True, eq=False)
 class Geometric(ProbVector):
     """Weights p_j = (1 - q) * q**(j-1); one ratio controls the whole family.
@@ -181,12 +217,12 @@ class Geometric(ProbVector):
                 f"geometric ratio must lie strictly inside (0, 1), got {self.q}"
             )
 
+    @_head_memoized
     def p(self, j: int) -> Fraction:
-        _check_digit(j)
         return (ONE - self.q) * self.q ** (j - 1)
 
+    @_head_memoized
     def prefix(self, n: int) -> Fraction:
-        _check_digit(n)
         return ONE - self.q ** (n - 1)
 
     def value_form(self) -> GeometricForm:
@@ -229,15 +265,15 @@ class MixedHeadTail(ProbVector):
         object.__setattr__(self, "_cum", tuple(cum))
         object.__setattr__(self, "_leftover", ONE - cum[-1])
 
+    @_head_memoized
     def p(self, j: int) -> Fraction:
-        _check_digit(j)
         m = len(self.head)
         if j <= m:
             return self.head[j - 1]
         return self._leftover * (ONE - self.tail_q) * self.tail_q ** (j - m - 1)
 
+    @_head_memoized
     def prefix(self, n: int) -> Fraction:
-        _check_digit(n)
         m = len(self.head)
         if n <= m + 1:
             return self._cum[n - 1]

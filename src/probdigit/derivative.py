@@ -138,9 +138,10 @@ class LogRatioDiagnostic(NamedTuple):
 
     `value` is sum over j <= terms of p_j * ln(ratio_j) in floats; the full
     series is <= 0 for every valid remap, with equality only when every ratio
-    is 1, so value <= tail_bound always holds.  `tail_bound` caps the
-    magnitude of the omitted tail using the eventually geometric closed
-    forms.
+    is 1, so value <= tail_bound always holds.  `tail_bound` estimates the
+    magnitude of the omitted tail from the eventually geometric closed
+    forms.  It is float arithmetic padded by a relative 1e-9, not an
+    outward-rounded enclosure: an estimate, not a rigorous cap.
     """
 
     value: float

@@ -17,11 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import constant_point, log_rational
+from .core import DIGIT_CAP, constant_point, log_rational
 from .remap import DigitRemap
 
 _BELOW_ONE = np.nextafter(1.0, 0.0)
-DIGIT_CAP = 64
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 from .bijections import DigitBijection, EventualShift, verify_bijection
 from .core import (
+    DIGIT_CAP,
     ONE,
     ZERO,
     DigitSeq,
@@ -245,7 +246,7 @@ def closed_form_integral(
 
 
 def integral_bracket(
-    remap: DigitRemap, depth: int, digit_cap: int = 64
+    remap: DigitRemap, depth: int, digit_cap: int = DIGIT_CAP
 ) -> IntegralBracket:
     """Rigorous lower/upper bounds from the depth-`depth` cylinder partition.
 

@@ -4,6 +4,7 @@ Every derived expectation here was computed by hand from the partial-sum
 formula or by iterating the one-digit shift, then frozen.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from probdigit import (
     evaluate,
     shift_value,
 )
+from probdigit.core import DIGIT_CAP
 
 F = Fraction
 
@@ -105,6 +107,55 @@ class TestProbVector:
             Geometric(0.5)
 
 
+class TestHeadMemo:
+    """p and prefix of digits up to DIGIT_CAP + 1 are computed once per family."""
+
+    @staticmethod
+    def families():
+        return (
+            Geometric(F(2, 3)),
+            Geometric(F(999, 1000)),
+            MixedHeadTail((F(1, 3), F(1, 5)), F(1, 2)),
+            MixedHeadTail((F(1, 5), F(1, 5), F(1, 5)), F(3, 5)),
+        )
+
+    def test_non_digits_rejected_cold_and_warm(self):
+        for pv in self.families():
+            for _ in ("cold", "warm"):
+                for bad in (0, -1, True, 1.0):
+                    for method in (pv.p, pv.prefix):
+                        with pytest.raises(ValueError):
+                            method(bad)
+                pv.p(1), pv.prefix(1)
+                assert 1 in pv._head_memo["p"] and 1 in pv._head_memo["prefix"]
+
+    def test_memoized_values_equal_fresh_ones(self):
+        for pv in self.families():
+            digits = [*range(1, DIGIT_CAP + 2), 200]
+            for _ in ("cold", "warm"):
+                for n in digits:
+                    fresh = dataclasses.replace(pv)
+                    assert pv.p(n) == fresh.p(n)
+                    assert pv.prefix(n) == fresh.prefix(n)
+            assert pv.prefix(DIGIT_CAP + 1) + pv.tail_mass(DIGIT_CAP + 1) == 1
+
+    def test_digits_past_the_cap_are_not_kept(self):
+        for pv in self.families():
+            first = DIGIT_CAP + 9
+            assert decode(pv, evaluate(pv, DigitSeq.of(first, 2)).value, 2) == DigitSeq.of(first, 2)
+            for memo in pv._head_memo.values():
+                assert memo and max(memo) <= DIGIT_CAP + 1
+
+    def test_equality_and_hash_ignore_the_memo(self):
+        for pv in self.families():
+            before = hash(pv)
+            decode(pv, F(5, 17), 40)
+            cold = dataclasses.replace(pv)
+            assert pv == cold and hash(pv) == before == hash(cold)
+        assert Geometric(F(1, 2)) == MixedHeadTail((), F(1, 2))
+        assert Geometric(F(1, 2)) != Geometric(F(2, 3))
+
+
 class TestDigitSeq:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -178,6 +229,20 @@ class TestDecode:
     def test_digit_past_the_float_range_decodes(self, half):
         # 1 - x underflows a float, so the hint takes big-integer logs
         assert decode(half, 1 - F(1, 2**3000), 2) == DigitSeq.of(3001, 1)
+
+    def test_a_right_guess_costs_two_prefix_calls(self):
+        probes = []
+
+        class CountingGeometric(Geometric):
+            def prefix(self, n):
+                probes.append(n)
+                return super().prefix(n)
+
+        pv = CountingGeometric(F(999, 1000))
+        x = (pv.prefix(26000) + pv.prefix(26001)) / 2
+        probes.clear()
+        assert pv.digit_of(x) == 26000
+        assert len(probes) <= 2
 
     def test_digit_past_the_bit_budget_is_refused_promptly(self, run_bounded):
         script = (
