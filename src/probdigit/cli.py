@@ -267,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'not enough memory'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def run() -> None:

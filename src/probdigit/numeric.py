@@ -7,6 +7,12 @@ forms from an independent code path, and for law-of-large-numbers style
 diagnostics.  All randomness is drawn from seeded generators, so every output
 is reproducible.  Digits above `DIGIT_CAP` are clamped to it everywhere: their
 total source mass is a geometric sliver.
+
+Value-only evaluation stops reading a point's digits once its image cylinder
+is narrower than float resolution, and the Monte Carlo and log-path routines
+draw their uniforms in chunks of about `_CHUNK` values, so their working
+memory is bounded apart from the one result array.  Successive draws from a seeded
+generator continue one stream, so chunking leaves every seeded draw unchanged.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from .core import DIGIT_CAP, constant_point, log_rational
 from .remap import DigitRemap
 
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+_RESOLUTION = 2.0**-53  # an image cylinder this narrow pins a value in [0, 1) to float precision
+_CHUNK = 1 << 16  # uniforms drawn per step of the Monte Carlo and log-path loops
 
 
 @dataclass(frozen=True)
@@ -57,24 +65,48 @@ def remap_values(
 ):
     """Evaluate the remap at an array of points, digit by digit in floats.
 
-    With `with_log_derivative` set, also accumulates the log of the
-    depth-`depth` cylinder derivative along each decoded digit string and
-    returns the pair (values, log_derivatives).
+    Reads at most `depth` digits of each point and closes the unread rest
+    with the image of the all-ones continuation.  Without the log derivative
+    a point stops once its image-cylinder width drops below 2**-53, since its
+    later digits cannot move the value by more than that; the loop then
+    carries only the points still being read.
+
+    With `with_log_derivative` set, every point reads all `depth` digits and
+    the log of the depth-`depth` cylinder derivative is accumulated along each
+    decoded digit string; the pair (values, log_derivatives) is returned.
     """
     t = _tables(remap)
-    x = np.clip(np.asarray(xs, dtype=float), 0.0, _BELOW_ONE).copy()
-    y = np.zeros_like(x)
+    x = np.clip(np.asarray(xs, dtype=float), 0.0, _BELOW_ONE)
+    shape = x.shape
+    x = x.reshape(-1)
+    out = y = np.zeros_like(x)
     prod = np.ones_like(x)
     dlog = np.zeros_like(x) if with_log_derivative else None
+    live = None if with_log_derivative else np.arange(x.size)  # positions of y in out
     for _ in range(depth):
         idx = np.minimum(np.searchsorted(t.prefix, x, side="right"), DIGIT_CAP) - 1
         y += t.image_prefix[idx] * prod
         prod *= t.image_mass[idx]
         if dlog is not None:
             dlog += t.log_ratio[idx]
-        x = np.clip((x - t.prefix[idx]) / t.mass[idx], 0.0, _BELOW_ONE)
+        x -= t.prefix[idx]
+        x /= t.mass[idx]
+        np.clip(x, 0.0, _BELOW_ONE, out=x)
+        if live is not None:
+            done = prod < _RESOLUTION
+            if done.any():
+                out[live[done]] = y[done] + prod[done] * t.tail_const
+                keep = ~done
+                # one at a time, so at most one dropped array waits for release
+                live = live[keep]
+                x = x[keep]
+                y = y[keep]
+                prod = prod[keep]
     y += prod * t.tail_const
-    return (y, dlog) if with_log_derivative else y
+    if live is not None:
+        out[live] = y
+    out = out.reshape(shape)
+    return (out, dlog.reshape(shape)) if with_log_derivative else out
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -97,7 +129,10 @@ def monte_carlo_integral(
     if samples < 2:
         raise ValueError("samples must be at least 2")
     rng = np.random.Generator(np.random.PCG64(seed))
-    ys = remap_values(remap, rng.random(samples), depth)
+    ys = np.empty(samples)  # allocated up front, so an impossible size fails at once
+    for start in range(0, samples, _CHUNK):
+        stop = min(start + _CHUNK, samples)
+        ys[start:stop] = remap_values(remap, rng.random(stop - start), depth)
     return MonteCarloEstimate(
         float(ys.mean()), float(ys.std(ddof=1) / math.sqrt(samples)), samples, seed
     )
@@ -117,9 +152,14 @@ def log_derivative_paths(
     """
     t = _tables(remap)
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random((paths, depth))
-    idx = np.minimum(np.searchsorted(t.prefix, u, side="right"), DIGIT_CAP) - 1
-    return t.log_ratio[idx].mean(axis=1)
+    out = np.empty(paths)
+    rows = max(1, _CHUNK // max(depth, 1))
+    for start in range(0, paths, rows):
+        stop = min(start + rows, paths)
+        u = rng.random((stop - start, depth))
+        idx = np.minimum(np.searchsorted(t.prefix, u, side="right"), DIGIT_CAP) - 1
+        out[start:stop] = t.log_ratio[idx].mean(axis=1)
+    return out
 
 
 def log_ratio_moments(remap: DigitRemap) -> tuple[float, float]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -51,6 +52,11 @@ class DigitRemap:
 
     def __post_init__(self) -> None:
         verify_bijection(self.digit_map)
+
+    @cached_property
+    def _head_sums(self) -> tuple[Fraction, Fraction]:
+        """`_digit_sums` over digits 1..DIGIT_CAP, shared by every bracket depth."""
+        return _digit_sums(self, DIGIT_CAP)
 
     @property
     def is_identity(self) -> bool:
@@ -245,13 +251,11 @@ def closed_form_integral(
     return ClosedFormIntegral(lo, hi - lo)
 
 
-def integral_bracket(
-    remap: DigitRemap, depth: int, digit_cap: int = DIGIT_CAP
-) -> IntegralBracket:
+def integral_bracket(remap: DigitRemap, depth: int) -> IntegralBracket:
     """Rigorous lower/upper bounds from the depth-`depth` cylinder partition.
 
     [0,1) splits into all cylinders of the given depth whose digits stay at
-    or below `digit_cap`, plus a remainder band at each node for the larger
+    or below `DIGIT_CAP`, plus a remainder band at each node for the larger
     digits.  On a covered cylinder the function is pinned inside its image
     cylinder; on a band it is pinned inside the surrounding node's image
     cylinder.  Self-similarity collapses the sum over that tree into a
@@ -262,10 +266,8 @@ def integral_bracket(
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if digit_cap < 1:
-        raise ValueError("digit_cap must be at least 1")
-    pref_sum, mass_sum = _digit_sums(remap, digit_cap)
-    band = remap.source.tail_mass(digit_cap + 1)
+    pref_sum, mass_sum = remap._head_sums
+    band = remap.source.tail_mass(DIGIT_CAP + 1)
     lower, upper = ZERO, ONE
     for _ in range(depth):
         lower = pref_sum + mass_sum * lower

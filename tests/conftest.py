@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -48,21 +49,36 @@ def table_remap(half, mixed):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+ADDRESS_SPACE_CAP = 3 * 2**30  # bytes of virtual memory a bounded child may map
+
+
+def _cap_address_space() -> None:
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = ADDRESS_SPACE_CAP if hard == resource.RLIM_INFINITY else min(ADDRESS_SPACE_CAP, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
 @pytest.fixture
 def run_bounded():
-    """Run `python <args>` in a child process, killed after `timeout` seconds.
+    """Run `python <args>` in a child process, killed after `timeout` seconds
+    and unable to map more than ADDRESS_SPACE_CAP bytes.
 
     A call that regresses into an endless search then fails this test with
-    subprocess.TimeoutExpired instead of stalling the whole suite.
+    subprocess.TimeoutExpired instead of stalling the whole suite, and one
+    that asks for a huge allocation gets MemoryError instead of the host's
+    memory, whatever the host's overcommit policy.
     """
 
     def run(*args: str, timeout: float = 20) -> subprocess.CompletedProcess:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
+            [sys.executable, *args],
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+            env=env,
+            preexec_fn=_cap_address_space,
         )
 
     return run

@@ -1,5 +1,7 @@
 """End-to-end exercises of the command-line surface and its exit codes."""
 
+import pytest
+
 from probdigit.cli import main
 
 SWAP = ["--p", "geometric:1/2", "--o", "geometric:2/3", "--phi", "pairswap"]
@@ -69,6 +71,17 @@ def test_decode_refuses_an_astronomical_digit_promptly(run_bounded):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: digit exceeds ")
+    assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["integral", "--samples", "100000000000"], ["sample", "--count", "100000000000"]]
+)
+def test_impossible_size_exits_2_with_one_line(run_bounded, argv):
+    done = run_bounded("-m", "probdigit.cli", *argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")
     assert done.stderr.count("\n") == 1
 
 

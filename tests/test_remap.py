@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from probdigit import remap as remap_module
 from probdigit import (
     DigitRemap,
     DigitSeq,
@@ -264,7 +265,9 @@ class TestIntegralBracket:
         bracket = integral_bracket(swap_remap, 8)
         assert bracket.contains(F(11, 25))
 
-    def test_recursion_equals_explicit_cylinder_enumeration(self, swap_remap, table_remap):
+    def test_recursion_equals_explicit_cylinder_enumeration(
+        self, swap_remap, table_remap, monkeypatch
+    ):
         def enumerate_bracket(remap, depth, cap):
             src, tgt, phi = remap.source, remap.target, remap.digit_map
             lo_total = hi_total = F(0)
@@ -293,7 +296,11 @@ class TestIntegralBracket:
 
         for remap in (swap_remap, table_remap):
             for depth, cap in ((1, 5), (2, 4), (3, 3)):
-                bracket = integral_bracket(remap, depth, cap)
+                # a small digit cap keeps the enumeration short; a fresh remap
+                # sums its bracket head under the patched cap
+                monkeypatch.setattr(remap_module, "DIGIT_CAP", cap)
+                fresh = DigitRemap(remap.source, remap.target, remap.digit_map)
+                bracket = integral_bracket(fresh, depth)
                 assert (bracket.lower, bracket.upper) == enumerate_bracket(remap, depth, cap)
 
     def test_closed_form_always_inside(self, swap_remap, table_remap, identity_remap, mixed):
