@@ -11,15 +11,20 @@ same proportions, and so on.  The value of a digit string is
 and a finite string stands for itself followed by its constant tail digit
 (1 by default, which contributes nothing because prefix(1) == 0).
 
-Everything here runs on `fractions.Fraction`.  Floats are rejected at the
-boundary so that round-trips, orderings and widths are identities rather than
-approximations; the float fast path lives in `probdigit.numeric` and is never
-consulted by the exact operations.
+Every value here is exact: inputs and results are `fractions.Fraction`s, and
+floats are rejected at the boundary so that round-trips, orderings and widths
+are identities rather than approximations; the float fast path lives in
+`probdigit.numeric` and is never consulted by the exact operations.  Inside,
+`decode` and `evaluate` carry their state as plain integer numerator and
+denominator pairs and build a `Fraction` only at the end; since `Fraction`
+normalizes, the results are the same values step-by-step `Fraction`
+arithmetic gives, without a gcd on every operation.
 
 Nearly every digit read is small (digits are i.i.d. with the weight law), so
 each family computes its exact p(n) and prefix(n) for n <= DIGIT_CAP + 1 once
-and keeps them: at most 2 * (DIGIT_CAP + 1) values per family.  Larger digits
-are computed on every call and never stored.
+and keeps them, along with their integer form for `decode` and `evaluate`,
+each filled the first time that digit is used.  Larger digits are computed on
+every call and never stored.
 """
 
 from __future__ import annotations
@@ -135,6 +140,27 @@ class ProbVector:
         return GeometricForm(start, coeff / (ONE - ratio), ratio)
 
     @cached_property
+    def _int_head(self) -> dict[int, tuple[int, int, int]]:
+        # the integer table: digit n <= DIGIT_CAP + 1 -> _int_entry(n), filled on first use
+        return {}
+
+    def _int_entry(self, n: int) -> tuple[int, int, int]:
+        """prefix(n) = a/e and p(n) = c/e over one common denominator, as the
+        integers (a, c, e); digits up to DIGIT_CAP + 1 are kept in `_int_head`."""
+        entry = self._int_head.get(n)
+        if entry is None:
+            prefix, mass = self.prefix(n), self.p(n)
+            e = math.lcm(prefix.denominator, mass.denominator)
+            entry = (
+                prefix.numerator * (e // prefix.denominator),
+                mass.numerator * (e // mass.denominator),
+                e,
+            )
+            if n <= DIGIT_CAP + 1:
+                self._int_head[n] = entry
+        return entry
+
+    @cached_property
     def _digit_search(self) -> tuple[float, float, int]:
         # ln coeff and ln ratio of the prefix form (log1p near 1, so the log of
         # a ratio within float precision of 1 stays negative), and max digit:
@@ -143,19 +169,6 @@ class ProbVector:
         log_ratio = math.log1p(float(ratio - ONE)) if 2 * ratio > ONE else log_rational(ratio)
         max_digit = start + MAX_PREFIX_BITS // ratio.denominator.bit_length()
         return log_rational(coeff), min(log_ratio, -math.ulp(0.0)), max_digit
-
-    def digit_guess(self, x: Fraction) -> int:
-        """Float-assisted starting point for the digit search.
-
-        Inverts the prefix form 1 - x = coeff * ratio**n in floats (big-integer
-        logs of 1 - x only when it underflows) and clamps to 1..max digit.
-        Purely a hint: `digit_of` verifies every candidate with exact
-        comparisons, so a wrong guess costs time, never correctness.
-        """
-        log_coeff, log_ratio, max_digit = self._digit_search
-        rem = float(ONE - x)
-        log_rem = math.log(rem) if rem > 0.0 else log_rational(ONE - x)
-        return math.floor(min(max((log_rem - log_coeff) / log_ratio, 1.0), max_digit))
 
     def digit_of(self, x: Fraction) -> int:
         """The unique digit n with prefix(n) <= x < prefix(n+1).
@@ -167,22 +180,55 @@ class ProbVector:
         """
         if not (ZERO <= x < ONE):
             raise DomainError(f"x must lie in [0, 1), got {x}")
-        max_digit = self._digit_search[2]
-        # invariant: prefix(lo) <= x < prefix(hi + 1)
-        lo, hi = 1, self.digit_guess(x)
-        while self.prefix(hi + 1) <= x:
-            if hi >= max_digit:
-                raise DomainError(f"digit exceeds {max_digit}: its prefix needs over {MAX_PREFIX_BITS} bits")
-            lo, hi = hi + 1, min(2 * hi, max_digit)
-        if lo < hi and self.prefix(hi) <= x:  # a right guess costs two comparisons
-            return hi
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.prefix(mid) <= x:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return self._shift(x.numerator, x.denominator)[0]
+
+    def _shift(self, num: int, den: int) -> tuple[int, int, int]:
+        """The digit n of x = num/den, for 0 <= x < 1 in lowest terms, and the
+        shifted point (x - prefix(n)) / p(n) as a pair (num', den').
+
+        The guess inverts the prefix form 1 - x = coeff * ratio**n in floats
+        (big-integer logs of 1 - x only when it underflows), clamped to
+        1..max digit.  It is taken when the shifted point lands in [0, 1),
+        which is prefix(n) <= x < prefix(n+1) checked exactly; otherwise
+        galloping up from the guess and bisection find the digit, comparing
+        prefix(m) <= x by cross-multiplication.
+
+        With prefix(n) = a/e and p(n) = c/e the shifted point is
+        (num*e - a*den) / (den*c).  A prime that divides den cannot divide num,
+        so the part of den shared with the new numerator is gcd(den, e); what
+        is left to cancel divides c.  Two gcds against e and c, short beside
+        den, thus leave the pair in lowest terms as one gcd of the pair would.
+        """
+        log_coeff, log_ratio, max_digit = self._digit_search
+        rem = (den - num) / den
+        log_rem = math.log(rem) if rem > 0.0 else math.log(den - num) - math.log(den)
+        n = math.floor(min(max((log_rem - log_coeff) / log_ratio, 1.0), max_digit))
+        a, c, e = self._int_entry(n)
+        rest, scale = num * e - a * den, den * c
+        if not 0 <= rest < scale:
+            # invariant: prefix(lo) <= x < prefix(hi + 1)
+            lo, hi = 1, n
+            while self._prefix_at_most(hi + 1, num, den):
+                if hi >= max_digit:
+                    raise DomainError(f"digit exceeds {max_digit}: its prefix needs over {MAX_PREFIX_BITS} bits")
+                lo, hi = hi + 1, min(2 * hi, max_digit)
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if self._prefix_at_most(mid, num, den):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            n = lo
+            a, c, e = self._int_entry(n)
+            rest, scale = num * e - a * den, den * c
+        g = math.gcd(den, e)
+        rest, den = rest // g, den // g
+        h = math.gcd(rest, c)
+        return n, rest // h, den * (c // h)
+
+    def _prefix_at_most(self, m: int, num: int, den: int) -> bool:
+        a, _, e = self._int_entry(m)
+        return a * den <= num * e
 
     def _canonical_key(self):
         start, coeff, ratio = self.value_form()
@@ -395,16 +441,20 @@ def evaluate(pv: ProbVector, seq: DigitSeq) -> Evaluation:
     digits = seq.digits
     if not digits:
         return Evaluation(constant_point(pv, seq.tail), ONE)
-    acc = pv.prefix(digits[0])
-    prod = ONE
-    for j in range(1, len(digits)):
-        prod *= pv.p(digits[j - 1])
-        acc += pv.prefix(digits[j]) * prod
-    prod *= pv.p(digits[-1])
+    entry = pv._int_entry
+    # value so far num/den, cylinder width so far mass/den
+    num, mass, den = entry(digits[0])
+    for n in digits[1:]:
+        a, c, e = entry(n)
+        num = num * e + a * mass
+        mass *= c
+        den *= e
+    width = Fraction(mass, den)
     tail = constant_point(pv, seq.tail)
-    if tail:
-        acc += prod * tail
-    return Evaluation(acc, prod)
+    if not tail:
+        return Evaluation(Fraction(num, den), width)
+    value = Fraction(num * tail.denominator + mass * tail.numerator, den * tail.denominator)
+    return Evaluation(value, width)
 
 
 def decode(pv: ProbVector, x: Rational, depth: int) -> DigitSeq:
@@ -419,11 +469,11 @@ def decode(pv: ProbVector, x: Rational, depth: int) -> DigitSeq:
     x = as_fraction(x)
     if not (ZERO <= x < ONE):
         raise DomainError(f"x must lie in [0, 1), got {x}")
+    num, den = x.numerator, x.denominator
     digits = []
     for _ in range(depth):
-        n = pv.digit_of(x)
+        n, num, den = pv._shift(num, den)
         digits.append(n)
-        x = (x - pv.prefix(n)) / pv.p(n)
     return DigitSeq(tuple(digits))
 
 
@@ -432,8 +482,8 @@ def shift_value(pv: ProbVector, x: Rational) -> Fraction:
     x = as_fraction(x)
     if not (ZERO <= x < ONE):
         raise DomainError(f"x must lie in [0, 1), got {x}")
-    n = pv.digit_of(x)
-    return (x - pv.prefix(n)) / pv.p(n)
+    _, num, den = pv._shift(x.numerator, x.denominator)
+    return Fraction(num, den)
 
 
 def cylinder(pv: ProbVector, prefix: DigitSeq) -> Cylinder:

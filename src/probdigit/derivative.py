@@ -106,13 +106,14 @@ def classify_point(remap: DigitRemap, seq: DigitSeq, horizon: int) -> PointClass
         raise ValueError(f"horizon must lie in 1..{len(seq)}, got {horizon}")
     window_start = horizon // 2 + 1
     tge = tle = tne = wge = wle = wne = 0
+    seen: dict[int, tuple[bool, bool, bool]] = {}  # digit -> (>=, <=, !=); digits repeat
     for k in range(1, horizon + 1):
         n = seq[k - 1]
-        image_mass = remap.target.p(remap.digit_map.apply(n))
-        source_mass = remap.source.p(n)
-        ge = image_mass >= source_mass
-        le = image_mass <= source_mass
-        ne = image_mass != source_mass
+        if n not in seen:
+            image_mass = remap.target.p(remap.digit_map.apply(n))
+            source_mass = remap.source.p(n)
+            seen[n] = (image_mass >= source_mass, image_mass <= source_mass, image_mass != source_mass)
+        ge, le, ne = seen[n]
         tge += ge
         tle += le
         tne += ne

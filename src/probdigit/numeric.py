@@ -42,6 +42,15 @@ class _FloatTables:
 
 
 def _tables(remap: DigitRemap) -> _FloatTables:
+    """The remap's float tables, built on first use and then kept on the
+    remap the way its cached properties are, so chunked calls build them once."""
+    kept = vars(remap)
+    if "_float_tables" not in kept:
+        kept["_float_tables"] = _build_tables(remap)
+    return kept["_float_tables"]
+
+
+def _build_tables(remap: DigitRemap) -> _FloatTables:
     src, tgt, phi = remap.source, remap.target, remap.digit_map
     prefix = np.array([float(src.prefix(n)) for n in range(1, DIGIT_CAP + 2)])
     mass = np.array([float(src.p(n)) for n in range(1, DIGIT_CAP + 1)])
@@ -54,7 +63,10 @@ def _tables(remap: DigitRemap) -> _FloatTables:
     for i in np.flatnonzero(~np.isfinite(log_ratio)).tolist():
         log_ratio[i] = log_rational(tgt.p(image[i]) / src.p(i + 1))
     tail_const = float(constant_point(tgt, phi.apply(1)))
-    return _FloatTables(prefix, mass, image_prefix, image_mass, log_ratio, tail_const)
+    arrays = (prefix, mass, image_prefix, image_mass, log_ratio)
+    for array in arrays:
+        array.setflags(write=False)  # every later call on the remap shares them
+    return _FloatTables(*arrays, tail_const)
 
 
 def remap_values(

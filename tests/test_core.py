@@ -32,16 +32,15 @@ digit_lists = st.lists(st.integers(1, 12), max_size=10)
 ratios = st.fractions(min_value=F(1, 20), max_value=F(19, 20), max_denominator=30)
 
 
+heads = st.lists(
+    st.fractions(min_value=F(1, 40), max_value=F(1, 4), max_denominator=40), max_size=3
+)
+
+
 def vectors():
     return st.one_of(
         ratios.map(Geometric),
-        st.tuples(
-            st.lists(
-                st.fractions(min_value=F(1, 40), max_value=F(1, 4), max_denominator=40),
-                max_size=3,
-            ),
-            ratios,
-        ).map(lambda t: MixedHeadTail(tuple(t[0]), t[1])),
+        st.tuples(heads, ratios).map(lambda t: MixedHeadTail(tuple(t[0]), t[1])),
     )
 
 
@@ -143,7 +142,7 @@ class TestHeadMemo:
         for pv in self.families():
             first = DIGIT_CAP + 9
             assert decode(pv, evaluate(pv, DigitSeq.of(first, 2)).value, 2) == DigitSeq.of(first, 2)
-            for memo in pv._head_memo.values():
+            for memo in (*pv._head_memo.values(), pv._int_head):
                 assert memo and max(memo) <= DIGIT_CAP + 1
 
     def test_equality_and_hash_ignore_the_memo(self):
@@ -245,21 +244,24 @@ class TestDecode:
         assert len(probes) <= 2
 
     def test_digit_past_the_bit_budget_is_refused_promptly(self, run_bounded):
+        # digit_of, and decode and DigitRemap.apply, which search without it
         script = (
             "from fractions import Fraction as F\n"
-            "from probdigit import DomainError, Geometric\n"
+            "from probdigit import DigitRemap, DomainError, Geometric, PairSwap, decode\n"
             "for q in (1 - F(1, 10**20), 1 - F(1, 10**400)):\n"
             "    pv = Geometric(q)\n"
             "    assert pv.digit_of(F(0)) == 1\n"
-            "    try:\n"
-            "        pv.digit_of(F(1, 2))\n"
-            "    except DomainError as exc:\n"
-            "        print(exc)\n"
+            "    remap = DigitRemap(pv, pv, PairSwap())\n"
+            "    for call in (pv.digit_of, lambda x: decode(pv, x, 2), lambda x: remap.apply(x, 2)):\n"
+            "        try:\n"
+            "            call(F(1, 2))\n"
+            "        except DomainError as exc:\n"
+            "            print(exc)\n"
         )
         done = run_bounded("-c", script)
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
-        assert len(lines) == 2 and all(line.startswith("digit exceeds ") for line in lines)
+        assert len(lines) == 6 and all(line.startswith("digit exceeds ") for line in lines)
 
     def test_decoded_cylinder_contains_the_point(self, half, twothirds):
         for pv in (half, twothirds):
@@ -287,6 +289,97 @@ class TestDecode:
             assert va == vb
         else:
             assert (va < vb) == (order < 0)
+
+
+def reference_evaluate(pv, seq):
+    """Oracle: the evaluation loop on Fractions, one operation at a time."""
+    digits = seq.digits
+    if not digits:
+        return constant_point(pv, seq.tail), F(1)
+    acc = pv.prefix(digits[0])
+    prod = F(1)
+    for j in range(1, len(digits)):
+        prod *= pv.p(digits[j - 1])
+        acc += pv.prefix(digits[j]) * prod
+    prod *= pv.p(digits[-1])
+    return acc + prod * constant_point(pv, seq.tail), prod
+
+
+def reference_digit(pv, x):
+    """Oracle: galloping and bisection on Fraction prefixes, no float guess."""
+    lo, hi = 1, 1  # prefix(lo) <= x < prefix(hi + 1)
+    while pv.prefix(hi + 1) <= x:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if pv.prefix(mid) <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def reference_decode(pv, x, depth):
+    digits = []
+    for _ in range(depth):
+        n = reference_digit(pv, x)
+        digits.append(n)
+        x = (x - pv.prefix(n)) / pv.p(n)
+    return DigitSeq(tuple(digits))
+
+
+near_one = st.integers(0, 10**6).map(lambda k: 1 - F(1, 10**20 + k))
+edge_vectors = st.one_of(
+    near_one.map(Geometric),
+    st.tuples(heads, near_one).map(lambda t: MixedHeadTail(tuple(t[0]), t[1])),
+)
+# digit strings, some led by a digit past the memoized head, with a tail digit
+digit_strings = st.tuples(st.booleans(), digit_lists, st.integers(1, 3)).map(
+    lambda t: DigitSeq(((DIGIT_CAP + 9,) if t[0] else ()) + tuple(t[1]), t[2])
+)
+
+
+class TestAgainstFractionReference:
+    """decode, evaluate and shift_value carry integer pairs; each equals the
+    Fraction loop it replaced, over ordinary families and over tail ratios
+    within 1e-20 of 1 (where the float guess has no resolution)."""
+
+    @given(st.one_of(vectors(), edge_vectors), digit_strings)
+    @settings(deadline=None)
+    def test_evaluate_and_decode_of_digit_strings(self, pv, seq):
+        value, width = evaluate(pv, seq)
+        assert (value, width) == reference_evaluate(pv, seq)
+        depth = len(seq) + 2  # reads into the tail
+        assert decode(pv, value, depth) == reference_decode(pv, value, depth)
+
+    @given(
+        vectors(),
+        st.one_of(
+            st.fractions(min_value=0, max_value=F(999, 1000), max_denominator=10**9),
+            st.just(1 - F(1, 2**3000)),  # 1 - x below float range
+        ),
+    )
+    @settings(deadline=None, max_examples=50)
+    def test_decode_and_shift_of_arbitrary_points(self, pv, x):
+        assert decode(pv, x, 3) == reference_decode(pv, x, 3)
+        n = reference_digit(pv, x)
+        shifted = (x - pv.prefix(n)) / pv.p(n)
+        assert shift_value(pv, x) == shifted
+        # the integer step already leaves its pair in lowest terms
+        assert pv._shift(x.numerator, x.denominator) == (n, shifted.numerator, shifted.denominator)
+
+    @given(ratios, st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    def test_fresh_family_fills_only_the_digits_it_reads(self, q, digits):
+        # tail 2 keeps every shifted point inside its cylinder, clear of the
+        # ends, so each float guess is right and the digit read is the only one probed
+        seq = DigitSeq(tuple(digits), tail=2)
+        x = evaluate(Geometric(q), seq).value
+        pv = Geometric(q)
+        assert decode(pv, x, len(digits)).digits == seq.digits
+        assert set(pv._int_head) == set(digits)
+        pv = Geometric(q)
+        evaluate(pv, seq)
+        assert set(pv._int_head) == set(digits)
 
 
 class TestShift:

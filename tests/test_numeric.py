@@ -126,6 +126,19 @@ def test_chunked_monte_carlo_matches_one_shot(swap_remap, table_remap, offset):
         assert tuple(monte_carlo_integral(remap, samples=samples, seed=19)) == expected
 
 
+def test_float_tables_are_built_once_per_remap(swap_remap, monkeypatch):
+    builds = []
+    build = numeric._build_tables
+    monkeypatch.setattr(numeric, "_build_tables", lambda remap: builds.append(remap) or build(remap))
+    monkeypatch.setattr(numeric, "_CHUNK", 1000)
+    fresh = DigitRemap(swap_remap.source, swap_remap.target, swap_remap.digit_map)
+    first = monte_carlo_integral(fresh, samples=5500, seed=3)
+    assert builds == [fresh]
+    assert monte_carlo_integral(fresh, samples=5500, seed=3) == first and len(builds) == 1
+    cold = DigitRemap(swap_remap.source, swap_remap.target, swap_remap.digit_map)
+    assert monte_carlo_integral(cold, samples=5500, seed=3) == first and len(builds) == 2
+
+
 def test_monte_carlo_reproduces_the_readme_line(swap_remap):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     line = re.search(r"# (monte_carlo=\S+ sigma=\S+ samples=1000000 seed=1729)\n", readme)
