@@ -62,7 +62,9 @@ def as_fraction(value: Rational) -> Fraction:
 
 
 def log_rational(x: Fraction) -> float:
-    """ln x from the big integers, finite even where float(x) under- or overflows."""
+    """ln x, finite where float(x) under- or overflows, and accurate near 1."""
+    if ONE < 2 * x < 4:
+        return math.log1p(float(x - ONE))
     return math.log(x.numerator) - math.log(x.denominator)
 
 
@@ -162,13 +164,12 @@ class ProbVector:
 
     @cached_property
     def _digit_search(self) -> tuple[float, float, int]:
-        # ln coeff and ln ratio of the prefix form (log1p near 1, so the log of
-        # a ratio within float precision of 1 stays negative), and max digit:
-        # past `start`, each digit adds the bits of the ratio's denominator
+        # ln coeff and ln ratio of the prefix form (the log of a ratio within
+        # float precision of 1 is kept negative), and max digit: past
+        # `start`, each digit adds the bits of the ratio's denominator
         start, coeff, ratio = self.prefix_form()
-        log_ratio = math.log1p(float(ratio - ONE)) if 2 * ratio > ONE else log_rational(ratio)
         max_digit = start + MAX_PREFIX_BITS // ratio.denominator.bit_length()
-        return log_rational(coeff), min(log_ratio, -math.ulp(0.0)), max_digit
+        return log_rational(coeff), min(log_rational(ratio), -math.ulp(0.0)), max_digit
 
     def digit_of(self, x: Fraction) -> int:
         """The unique digit n with prefix(n) <= x < prefix(n+1).

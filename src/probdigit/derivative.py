@@ -9,9 +9,9 @@ exact rational factor per digit:
 Whether that product collapses to 0, blows up, or settles is what separates
 flat (singular) behaviour from infinite or finite derivatives, so this module
 exposes the per-digit ratios, their products, digit-occurrence counts that
-factor those products, a finite-horizon classifier, and the source-weighted
-expected log ratio, which predicts the typical exponent along digit sequences
-sampled from the source weights.
+factor those products, a finite-horizon classifier, and the mean and spread
+of the log ratio over all digits under the source weights; the mean predicts
+the typical exponent along digit sequences sampled from the source weights.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import DigitSeq, ONE, log_rational
-from .remap import DigitRemap, _eventual_start
+from .core import DigitSeq, ONE, ZERO, log_rational
+from .remap import DigitRemap, _eventual_start, _residue_classes
 
 
 def derivative_ratio(remap: DigitRemap, digit: int) -> Fraction:
@@ -135,47 +135,45 @@ def classify_point(remap: DigitRemap, seq: DigitSeq, horizon: int) -> PointClass
 
 
 class LogRatioDiagnostic(NamedTuple):
-    """Truncated source-weighted expected log stretch factor.
-
-    `value` is sum over j <= terms of p_j * ln(ratio_j) in floats; the full
-    series is <= 0 for every valid remap, with equality only when every ratio
-    is 1, so value <= tail_bound always holds.  `tail_bound` estimates the
-    magnitude of the omitted tail from the eventually geometric closed
-    forms.  It is float arithmetic padded by a relative 1e-9, not an
-    outward-rounded enclosure: an estimate, not a rigorous cap.
-    """
+    """Mean and standard deviation of ln(target.p(phi(j)) / source.p(j)) for
+    j drawn from the source weights.  `value` is <= 0 (Gibbs' inequality),
+    and exactly 0.0 when every ratio is 1."""
 
     value: float
-    tail_bound: float
-    terms: int
+    std: float
 
 
-def expected_log_ratio(remap: DigitRemap, terms: int = 60) -> LogRatioDiagnostic:
-    """Average log stretch factor under the source weights, with a tail cap.
+def expected_log_ratio(remap: DigitRemap) -> LogRatioDiagnostic:
+    """Average log stretch factor under the source weights, and its spread.
 
     A negative value predicts that cylinder derivatives collapse to 0 along
     source-typical digit sequences (the inverse remap then blows up); zero
     means the two sides assign identical mass to every rewritten digit.
+
+    Digits before `_eventual_start` are taken one by one.  From there on the
+    digits j0 + k * period of a residue class have weight p_j0 * q**k and log
+    ratio ln(ratio_j0) + k * ln(step), with q and step the source ratio and
+    target over source ratio to the power period, so the exact moments
+    p_j0 * sum_k k**i * q**k (i = 0, 1, 2) sum the whole class.
     """
-    if terms < 1:
-        raise ValueError("terms must be at least 1")
     src, tgt, phi = remap.source, remap.target, remap.digit_map
-    sv = src.value_form()
-    tv = tgt.value_form()
-    ev = phi.eventual_structure()
-    n = max(terms, _eventual_start(sv, tv, ev))
-    total = 0.0
-    for j in range(1, n + 1):
-        total += float(src.p(j)) * log_rational(tgt.p(phi.apply(j)) / src.p(j))
-    qp = float(sv.ratio)
-    ap = float(sv.coeff)
-    qo = float(tv.ratio)
-    ao = float(tv.coeff)
-    slope = abs(math.log(qo) - math.log(qp))
-    level = max(
-        abs(math.log(ao) - math.log(ap) + off * math.log(qo)) for off in ev.offsets
+    sv, tv, ev = src.value_form(), tgt.value_form(), phi.eventual_structure()
+    start = _eventual_start(sv, tv, ev)
+    q = sv.ratio**ev.period
+    step = (tv.ratio / sv.ratio) ** ev.period
+    # (m0, m1, m2, ratio at k = 0) per class; a digit before `start` is a class of one
+    classes = [(src.p(j), ZERO, ZERO, derivative_ratio(remap, j)) for j in range(1, start)]
+    for j0, _ in _residue_classes(start, ev):
+        m0 = src.p(j0) / (ONE - q)
+        # a step of exactly 1 leaves the log ratio constant on the class, so the
+        # higher moments never count (and may be too large for a float)
+        m1 = m0 * q / (ONE - q) if step != ONE else ZERO
+        classes.append((m0, m1, m1 * (ONE + q) / (ONE - q), derivative_ratio(remap, j0)))
+    slope = log_rational(step)
+    moments = [(float(m0), float(m1), float(m2), log_rational(r)) for m0, m1, m2, r in classes]
+    mean = math.fsum(m0 * level + m1 * slope for m0, m1, _, level in moments)
+    var = math.fsum(
+        m0 * (level - mean) ** 2 + 2 * m1 * (level - mean) * slope + m2 * slope**2
+        for m0, m1, m2, level in moments
     )
-    geo0 = qp ** (n + 1) / (1.0 - qp)
-    geo1 = qp ** (n + 1) * ((n + 1) - n * qp) / (1.0 - qp) ** 2
-    bound = ap * (level * geo0 + slope * geo1) * (1.0 + 1e-9)
-    return LogRatioDiagnostic(total, bound, n)
+    return LogRatioDiagnostic(mean, math.sqrt(var))

@@ -4,9 +4,11 @@ sampled-path log-derivative statistics.
 Nothing here feeds the exact rational contracts.  Results carry ordinary
 floating-point error and exist for plot data, for spot-checking the closed
 forms from an independent code path, and for law-of-large-numbers style
-diagnostics.  All randomness is drawn from seeded generators, so every output
-is reproducible.  Digits above `DIGIT_CAP` are clamped to it everywhere: their
-total source mass is a geometric sliver.
+diagnostics (sampled log-derivative paths against the exact law of
+`probdigit.derivative.expected_log_ratio`).  All randomness is drawn from
+seeded generators, so every output is reproducible.  Digits above
+`DIGIT_CAP` are clamped to it everywhere: their total source mass is a
+geometric sliver.
 
 Value-only evaluation stops reading a point's digits once its image cylinder
 is narrower than float resolution, and the Monte Carlo and log-path routines
@@ -172,15 +174,6 @@ def log_derivative_paths(
         idx = np.minimum(np.searchsorted(t.prefix, u, side="right"), DIGIT_CAP) - 1
         out[start:stop] = t.log_ratio[idx].mean(axis=1)
     return out
-
-
-def log_ratio_moments(remap: DigitRemap) -> tuple[float, float]:
-    """Source-weighted mean and standard deviation of the per-digit log ratio,
-    truncated at DIGIT_CAP (the leftover mass is geometrically small)."""
-    t = _tables(remap)
-    mean = float(np.dot(t.mass, t.log_ratio))
-    var = float(np.dot(t.mass, t.log_ratio**2)) - mean * mean
-    return mean, math.sqrt(max(var, 0.0))
 
 
 def sample_rows(

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .bijections import DigitBijection, EventualShift, verify_bijection
 from .core import (
@@ -176,6 +176,14 @@ def _eventual_start(sv: GeometricForm, tv: GeometricForm, ev: EventualShift) -> 
     return max(sv.start, ev.start, tv.start + max(abs(c) for c in ev.offsets))
 
 
+def _residue_classes(start: int, ev: EventualShift) -> Iterator[tuple[int, int]]:
+    """Each residue class of the map's eventual period as (j0, offset): j0 is
+    the class's first digit from `start` on, and phi(j) = j + offset for every
+    digit j = j0 + k * period of the class."""
+    for j0 in range(start, start + ev.period):
+        yield j0, ev.offsets[j0 % ev.period]
+
+
 def _series_sums_exact(remap: DigitRemap) -> tuple[Fraction, Fraction]:
     """Exact (sum prefix_target(phi(j)) p_j, sum p_target(phi(j)) p_j).
 
@@ -190,18 +198,18 @@ def _series_sums_exact(remap: DigitRemap) -> tuple[Fraction, Fraction]:
     ev = remap.digit_map.eventual_structure()
     start = _eventual_start(sv, tv, ev)
     s_pref, s_mass = _digit_sums(remap, start - 1)
-    period = ev.period
     z = sv.ratio * tv.ratio
-    z_step = ONE - z**period
-    q_step = ONE - sv.ratio**period
-    for r in range(period):
-        j0 = start + ((r - start) % period)
-        off = ev.offsets[j0 % period]
+    z_step = ONE - z**ev.period
+    q_step = ONE - sv.ratio**ev.period
+    for j0, off in _residue_classes(start, ev):
         geo_z = z**j0 / z_step
         geo_q = sv.ratio**j0 / q_step
         s_mass += tv.coeff * sv.coeff * tv.ratio**off * geo_z
         s_pref += sv.coeff * geo_q - tp.coeff * sv.coeff * tv.ratio**off * geo_z
     return s_pref, s_mass
+
+
+_TOLERANCE = Fraction(1, 10**12)  # source tail mass a truncated closed form may leave out
 
 
 def _terms_for_tolerance(src: ProbVector, tol: Fraction) -> int:
@@ -220,7 +228,6 @@ def _terms_for_tolerance(src: ProbVector, tol: Fraction) -> int:
 def closed_form_integral(
     remap: DigitRemap,
     terms: int | None = None,
-    tol: Fraction = Fraction(1, 10**12),
     exact: bool = True,
 ) -> ClosedFormIntegral:
     """Integral of the remapped function over [0,1) from the series formula.
@@ -228,14 +235,14 @@ def closed_form_integral(
     With `terms` unset and `exact` left on, both series are summed in closed
     form and the result is the exact rational value.  Otherwise the series
     are truncated after `terms` entries (or enough entries to push the source
-    tail mass below `tol`) and the leftover mass bounds the result from
+    tail mass below 10**-12) and the leftover mass bounds the result from
     above: both omitted tails are sums of target quantities below 1 weighted
     by the remaining source mass.
     """
     if terms is None and exact:
         s_pref, s_mass = _series_sums_exact(remap)
         return ClosedFormIntegral(s_pref / (ONE - s_mass), ZERO)
-    n = terms if terms is not None else _terms_for_tolerance(remap.source, tol)
+    n = terms if terms is not None else _terms_for_tolerance(remap.source, _TOLERANCE)
     if n < 1:
         raise ValueError("terms must be at least 1")
     s_pref, s_mass = _digit_sums(remap, n)

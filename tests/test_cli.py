@@ -106,7 +106,7 @@ def test_integral_self_check_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(
         cli,
         "closed_form_integral",
-        lambda remap, terms=None, tol=None: ClosedFormIntegral(Fraction(9, 10), Fraction(0)),
+        lambda remap, terms=None: ClosedFormIntegral(Fraction(9, 10), Fraction(0)),
     )
     code, _, err = run(capsys, ["integral", *SWAP, "--samples", "1000"])
     assert code == 3

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probdigit import (
+    DigitRemap,
     DigitSeq,
+    Geometric,
+    Identity,
+    MixedHeadTail,
+    PairSwap,
+    TablePermutation,
     Verdict,
     classify_point,
     cylinder,
@@ -14,6 +21,7 @@ from probdigit import (
     digit_counts,
     expected_log_ratio,
 )
+from probdigit.core import log_rational
 
 F = Fraction
 
@@ -119,37 +127,69 @@ class TestClassifyPoint:
         assert ">= at" in text
 
 
+ratios = st.fractions(min_value=F(1, 10), max_value=F(8, 9), max_denominator=20)
+head_masses = st.fractions(min_value=F(1, 20), max_value=F(1, 5), max_denominator=20)
+families = st.one_of(
+    ratios.map(Geometric),
+    st.builds(MixedHeadTail, st.lists(head_masses, min_size=1, max_size=4).map(tuple), ratios),
+    st.just(MixedHeadTail((F(3, 16), F(3, 16), F(1, 8), F(1, 8)), F(8, 9))),
+)
+digit_maps = st.one_of(
+    st.just(Identity()),
+    st.just(PairSwap()),
+    st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).map(TablePermutation),
+)
+
+
+def direct_log_ratio_law(remap):
+    """Mean and standard deviation of the log ratio, summed digit by digit
+    until the source tail mass falls below 1e-18."""
+    src = remap.source
+    weights, logs = [], []
+    j = 1
+    while src.tail_mass(j) >= F(1, 10**18):
+        weights.append(float(src.p(j)))
+        logs.append(log_rational(derivative_ratio(remap, j)))
+        j += 1
+    mean = math.fsum(w * lr for w, lr in zip(weights, logs))
+    return mean, math.sqrt(math.fsum(w * (lr - mean) ** 2 for w, lr in zip(weights, logs)))
+
+
 class TestExpectedLogRatio:
     def test_identity_is_exactly_zero(self, identity_remap):
-        result = expected_log_ratio(identity_remap, 50)
+        result = expected_log_ratio(identity_remap)
         assert result.value == 0.0
+        # also where the moments of the infinite tail would not fit a float
+        for q in (1 - F(1, 10**20), 1 - F(1, 10**200), F(1, 10**320)):
+            family = Geometric(q)
+            assert expected_log_ratio(DigitRemap(family, family, Identity())) == (0.0, 0.0)
 
     def test_pairswap_matches_independent_closed_form(self, swap_remap):
         # summing the two digit families in closed form gives (10 ln2 - 7 ln3)/3
         expected = (10 * math.log(2) - 7 * math.log(3)) / 3
-        result = expected_log_ratio(swap_remap, 60)
+        result = expected_log_ratio(swap_remap)
         assert result.value < 0
         assert abs(result.value - expected) < 1e-12
 
-    def test_tail_bound_caps_the_remainder(self, swap_remap):
-        coarse = expected_log_ratio(swap_remap, 20)
-        fine = expected_log_ratio(swap_remap, 200)
-        assert abs(fine.value - coarse.value) <= coarse.tail_bound
+    def test_extreme_families(self):
+        # a ratio within 1e-20 of 1 (digits around 1e20) and one far below
+        # float range, each as source and as target
+        near_one, tiny = Geometric(1 - F(1, 10**20)), Geometric(F(1, 10**320))
+        half = Geometric(F(1, 2))
+        for source, target in itertools.product((half, near_one, tiny), repeat=2):
+            result = expected_log_ratio(DigitRemap(source, target, PairSwap()))
+            assert math.isfinite(result.value) and math.isfinite(result.std)
+        # digits j have mean and spread about 1e20, and the log ratio is about -j ln 2
+        result = expected_log_ratio(DigitRemap(near_one, half, PairSwap()))
+        assert math.isclose(result.value, -1e20 * math.log(2), rel_tol=1e-12)
+        assert math.isclose(result.std, 1e20 * math.log(2), rel_tol=1e-12)
 
-    @given(
-        st.fractions(min_value=F(1, 10), max_value=F(4, 5), max_denominator=20),
-        st.fractions(min_value=F(1, 10), max_value=F(4, 5), max_denominator=20),
-        st.sampled_from(["identity", "pairswap", "table"]),
-    )
+    @given(families, families, digit_maps)
     @settings(deadline=None)
-    def test_never_positive_beyond_the_tail(self, qa, qb, kind):
-        from probdigit import DigitRemap, Geometric, Identity, PairSwap, TablePermutation
-
-        digit_map = {
-            "identity": Identity(),
-            "pairswap": PairSwap(),
-            "table": TablePermutation((3, 1, 2)),
-        }[kind]
-        remap = DigitRemap(Geometric(qa), Geometric(qb), digit_map)
-        result = expected_log_ratio(remap, 200)
-        assert result.value <= result.tail_bound + 1e-12
+    def test_matches_direct_sum_and_is_never_positive(self, source, target, digit_map):
+        remap = DigitRemap(source, target, digit_map)
+        result = expected_log_ratio(remap)
+        mean, std = direct_log_ratio_law(remap)
+        assert math.isclose(result.value, mean, rel_tol=1e-12)
+        assert math.isclose(result.std, std, rel_tol=1e-12)
+        assert result.value <= 1e-12  # Gibbs' inequality

@@ -19,7 +19,6 @@ from probdigit import (
 from probdigit import numeric
 from probdigit.numeric import (
     log_derivative_paths,
-    log_ratio_moments,
     monte_carlo_integral,
     remap_values,
     sample_rows,
@@ -51,23 +50,17 @@ def test_monte_carlo_agrees_with_closed_form(swap_remap, table_remap):
         assert abs(mc.mean - target) < 5 * mc.std_error
 
 
-def test_log_ratio_moments_match_diagnostic(swap_remap):
-    mean, sd = log_ratio_moments(swap_remap)
-    assert abs(mean - expected_log_ratio(swap_remap, 64).value) < 1e-12
-    assert sd > 0
-
-
 def test_log_ratio_stays_finite_when_source_masses_underflow():
     # source masses from digit 4 on underflow to 0.0 as floats
     source = MixedHeadTail((F(1, 2),), F(1, 10**320))
     remap = DigitRemap(source, Geometric(F(2, 3)), PairSwap())
     _, ys, dlog = sample_rows(remap, 8)
     assert np.all(np.isfinite(ys)) and np.all(np.isfinite(dlog))
-    assert all(math.isfinite(v) for v in log_ratio_moments(remap))
+    assert all(math.isfinite(v) for v in expected_log_ratio(remap))
 
 
 def test_log_derivative_paths_concentrate(swap_remap):
-    mean, sd = log_ratio_moments(swap_remap)
+    mean, sd = expected_log_ratio(swap_remap)
     paths = log_derivative_paths(swap_remap, paths=50, depth=4_000, seed=3)
     assert paths.shape == (50,)
     band = 4 * sd / math.sqrt(4_000)
