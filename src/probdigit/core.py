@@ -355,6 +355,14 @@ class DigitSeq:
     def of(cls, *digits: int, tail: int = 1) -> "DigitSeq":
         return cls(tuple(digits), tail)
 
+    @classmethod
+    def _unchecked(cls, digits: tuple[int, ...]) -> "DigitSeq":
+        """A sequence with tail 1 from digits the library itself produced."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "digits", digits)
+        object.__setattr__(seq, "tail", 1)
+        return seq
+
     def __len__(self) -> int:
         return len(self.digits)
 
@@ -475,7 +483,7 @@ def decode(pv: ProbVector, x: Rational, depth: int) -> DigitSeq:
     for _ in range(depth):
         n, num, den = pv._shift(num, den)
         digits.append(n)
-    return DigitSeq(tuple(digits))
+    return DigitSeq._unchecked(tuple(digits))  # _shift returns digits >= 1
 
 
 def shift_value(pv: ProbVector, x: Rational) -> Fraction:

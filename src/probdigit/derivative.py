@@ -170,10 +170,23 @@ def expected_log_ratio(remap: DigitRemap) -> LogRatioDiagnostic:
         m1 = m0 * q / (ONE - q) if step != ONE else ZERO
         classes.append((m0, m1, m1 * (ONE + q) / (ONE - q), derivative_ratio(remap, j0)))
     slope = log_rational(step)
-    moments = [(float(m0), float(m1), float(m2), log_rational(r)) for m0, m1, m2, r in classes]
+    # near q = 1, m2 (about 1 / (1 - q)**2) and the squared centred logs can
+    # exceed a float while mean and std fit: sum with the logs and m1 scaled by
+    # 2**-shift and m2 by 4**-shift, which leaves m2 near 1, then scale back
+    bits = max(m2.numerator.bit_length() - m2.denominator.bit_length() for *_, m2, _ in classes)
+    shift = max(0, bits // 2)
+    moments = [
+        (
+            float(m0),
+            m1.numerator / (m1.denominator << shift),  # int division rounds once, as float() does
+            m2.numerator / (m2.denominator << 2 * shift),
+            math.ldexp(log_rational(r), -shift),
+        )
+        for m0, m1, m2, r in classes
+    ]
     mean = math.fsum(m0 * level + m1 * slope for m0, m1, _, level in moments)
     var = math.fsum(
         m0 * (level - mean) ** 2 + 2 * m1 * (level - mean) * slope + m2 * slope**2
         for m0, m1, m2, level in moments
     )
-    return LogRatioDiagnostic(mean, math.sqrt(var))
+    return LogRatioDiagnostic(math.ldexp(mean, shift), math.ldexp(math.sqrt(var), shift))

@@ -15,6 +15,15 @@ is narrower than float resolution, and the Monte Carlo and log-path routines
 draw their uniforms in chunks of about `_CHUNK` values, so their working
 memory is bounded apart from the one result array.  Successive draws from a seeded
 generator continue one stream, so chunking leaves every seeded draw unchanged.
+
+A point's digit comes from a table of `_BUCKETS` equal buckets of [0, 1),
+built once per remap: its bucket names the digit at the bucket's low end and
+the one digit boundary inside the bucket, so one exact comparison finishes
+the lookup.  Only points in crowded buckets, which hold several boundaries
+because digit masses there are below 1 / _BUCKETS (near 1 under a geometric
+tail, for instance), are found by binary search over the prefix table.  The table is built from
+that search at each bucket's two ends, so every digit is the one the search
+would give.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ from .remap import DigitRemap
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 _RESOLUTION = 2.0**-53  # an image cylinder this narrow pins a value in [0, 1) to float precision
 _CHUNK = 1 << 16  # uniforms drawn per step of the Monte Carlo and log-path loops
+# equal buckets of [0, 1) in the digit lookup; a power of two, so x * _BUCKETS is exact
+_BUCKETS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -41,6 +52,8 @@ class _FloatTables:
     image_mass: np.ndarray    # target p(phi(n))
     log_ratio: np.ndarray     # ln(image_mass / mass)
     tail_const: float         # image value of the all-ones continuation
+    bucket_index: np.ndarray  # digit index at each bucket's low end, -1 for a crowded bucket
+    bucket_next: np.ndarray   # the one prefix boundary inside each bucket, inf if none
 
 
 def _tables(remap: DigitRemap) -> _FloatTables:
@@ -65,10 +78,35 @@ def _build_tables(remap: DigitRemap) -> _FloatTables:
     for i in np.flatnonzero(~np.isfinite(log_ratio)).tolist():
         log_ratio[i] = log_rational(tgt.p(image[i]) / src.p(i + 1))
     tail_const = float(constant_point(tgt, phi.apply(1)))
+    # bucket b holds [b, b + 1) / _BUCKETS; its two ends, looked up the slow way,
+    # say how many digit boundaries it spans
+    low = np.arange(_BUCKETS) / _BUCKETS
+    first = _searched_index(prefix, low)
+    spread = _searched_index(prefix, np.nextafter(low + 1.0 / _BUCKETS, 0.0)) - first
+    bucket_index = np.where(spread <= 1, first, -1)
+    bucket_next = np.where(spread == 1, prefix[first + 1], np.inf)
     arrays = (prefix, mass, image_prefix, image_mass, log_ratio)
-    for array in arrays:
+    for array in (*arrays, bucket_index, bucket_next):
         array.setflags(write=False)  # every later call on the remap shares them
-    return _FloatTables(*arrays, tail_const)
+    return _FloatTables(*arrays, tail_const, bucket_index, bucket_next)
+
+
+def _searched_index(prefix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Digit index (digit - 1) of each x, clamped at DIGIT_CAP, by binary search."""
+    return np.minimum(np.searchsorted(prefix, x, side="right"), DIGIT_CAP) - 1
+
+
+def _digit_index(t: _FloatTables, x: np.ndarray) -> np.ndarray:
+    """Exactly `_searched_index(t.prefix, x)` for a flat array x in [0, 1)."""
+    bucket = np.multiply(x, _BUCKETS, out=np.empty(x.shape, np.intp), casting="unsafe")
+    # the comparison first, so that the lookup holds at most two full-size arrays at once
+    above = x >= t.bucket_next.take(bucket)
+    idx = t.bucket_index.take(bucket)
+    idx += above
+    crowded = np.flatnonzero(idx < 0)
+    if crowded.size:
+        idx[crowded] = _searched_index(t.prefix, x[crowded])
+    return idx
 
 
 def remap_values(
@@ -88,9 +126,15 @@ def remap_values(
     With `with_log_derivative` set, every point reads all `depth` digits and
     the log of the depth-`depth` cylinder derivative is accumulated along each
     decoded digit string; the pair (values, log_derivatives) is returned.
+
+    Points are clamped to [0, 1), so -inf reads as 0 and +inf as the largest
+    float below 1; a NaN point raises ValueError.
     """
     t = _tables(remap)
-    x = np.clip(np.asarray(xs, dtype=float), 0.0, _BELOW_ONE)
+    x = np.asarray(xs, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("points must not be NaN")
+    x = np.clip(x, 0.0, _BELOW_ONE)
     shape = x.shape
     x = x.reshape(-1)
     out = y = np.zeros_like(x)
@@ -98,14 +142,16 @@ def remap_values(
     dlog = np.zeros_like(x) if with_log_derivative else None
     live = None if with_log_derivative else np.arange(x.size)  # positions of y in out
     for _ in range(depth):
-        idx = np.minimum(np.searchsorted(t.prefix, x, side="right"), DIGIT_CAP) - 1
+        idx = _digit_index(t, x)
         y += t.image_prefix[idx] * prod
         prod *= t.image_mass[idx]
         if dlog is not None:
             dlog += t.log_ratio[idx]
         x -= t.prefix[idx]
         x /= t.mass[idx]
-        np.clip(x, 0.0, _BELOW_ONE, out=x)
+        # x >= prefix[idx], so only the upper end needs clamping; fmin, unlike clip,
+        # also turns the NaN of 0/0 at a mass that underflows to 0.0 into a point
+        np.fmin(x, _BELOW_ONE, out=x)
         if live is not None:
             done = prod < _RESOLUTION
             if done.any():
@@ -164,14 +210,16 @@ def log_derivative_paths(
     averages ln(target.p(phi(digit)) / source.p(digit)); the law of large
     numbers drives these toward the expected log ratio.
     """
+    if paths < 1 or depth < 1:
+        raise ValueError("paths and depth must be at least 1")
     t = _tables(remap)
     rng = np.random.Generator(np.random.PCG64(seed))
     out = np.empty(paths)
-    rows = max(1, _CHUNK // max(depth, 1))
+    rows = max(1, _CHUNK // depth)
     for start in range(0, paths, rows):
         stop = min(start + rows, paths)
         u = rng.random((stop - start, depth))
-        idx = np.minimum(np.searchsorted(t.prefix, u, side="right"), DIGIT_CAP) - 1
+        idx = _digit_index(t, u.reshape(-1)).reshape(u.shape)
         out[start:stop] = t.log_ratio[idx].mean(axis=1)
     return out
 

@@ -172,17 +172,19 @@ class TestExpectedLogRatio:
         assert abs(result.value - expected) < 1e-12
 
     def test_extreme_families(self):
-        # a ratio within 1e-20 of 1 (digits around 1e20) and one far below
-        # float range, each as source and as target
-        near_one, tiny = Geometric(1 - F(1, 10**20)), Geometric(F(1, 10**320))
-        half = Geometric(F(1, 2))
-        for source, target in itertools.product((half, near_one, tiny), repeat=2):
+        # ratios within 1e-20 and 1e-200 of 1 (digits around 1e20 and 1e200,
+        # whose squared spread exceeds a float) and one far below float range,
+        # each as source and as target
+        near_one, nearer_one = Geometric(1 - F(1, 10**20)), Geometric(1 - F(1, 10**200))
+        tiny, half = Geometric(F(1, 10**320)), Geometric(F(1, 2))
+        for source, target in itertools.product((half, near_one, nearer_one, tiny), repeat=2):
             result = expected_log_ratio(DigitRemap(source, target, PairSwap()))
             assert math.isfinite(result.value) and math.isfinite(result.std)
-        # digits j have mean and spread about 1e20, and the log ratio is about -j ln 2
-        result = expected_log_ratio(DigitRemap(near_one, half, PairSwap()))
-        assert math.isclose(result.value, -1e20 * math.log(2), rel_tol=1e-12)
-        assert math.isclose(result.std, 1e20 * math.log(2), rel_tol=1e-12)
+        # digits j have mean and spread about 1/eps, and the log ratio is about -j ln 2
+        for source, scale in ((near_one, 1e20), (nearer_one, 1e200)):
+            result = expected_log_ratio(DigitRemap(source, half, PairSwap()))
+            assert math.isclose(result.value, -scale * math.log(2), rel_tol=1e-12)
+            assert math.isclose(result.std, scale * math.log(2), rel_tol=1e-12)
 
     @given(families, families, digit_maps)
     @settings(deadline=None)

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probdigit import (
     DigitRemap,
     Geometric,
+    Identity,
     MixedHeadTail,
     PairSwap,
     closed_form_integral,
@@ -82,6 +84,11 @@ def test_identity_sample_rows_reproduce_the_grid(identity_remap):
     assert np.allclose(dlog, 0.0)
 
 
+def searched_index(prefix, x):
+    """Reference digit lookup: binary search, clamped at the digit cap."""
+    return np.minimum(np.searchsorted(prefix, x, side="right"), numeric.DIGIT_CAP) - 1
+
+
 def fixed_depth_values(remap, xs, depth=48):
     """Reference: every point reads all `depth` digits (no early stop)."""
     t = numeric._tables(remap)
@@ -89,7 +96,7 @@ def fixed_depth_values(remap, xs, depth=48):
     y = np.zeros_like(x)
     prod = np.ones_like(x)
     for _ in range(depth):
-        idx = np.minimum(np.searchsorted(t.prefix, x, side="right"), numeric.DIGIT_CAP) - 1
+        idx = searched_index(t.prefix, x)
         y += t.image_prefix[idx] * prod
         prod *= t.image_mass[idx]
         x = np.clip((x - t.prefix[idx]) / t.mass[idx], 0.0, numeric._BELOW_ONE)
@@ -160,3 +167,68 @@ def test_float_path_memory_stays_bounded(swap_remap):
     # one full-size draw with its work arrays peaks near 56 MB and 24 MB
     assert traced_peak_mb(lambda: monte_carlo_integral(swap_remap, samples=1_000_000)) < 24
     assert traced_peak_mb(lambda: log_derivative_paths(swap_remap, 100, 10_000)) < 8
+
+
+# crowded buckets: ratios within 1e-6 of 1 put every digit boundary in the
+# bottom bucket, smaller ratios crowd the top ones, and head masses below
+# 2**-12 put several boundaries in one bucket
+lookup_ratios = st.one_of(
+    st.fractions(min_value=F(1, 10**6), max_value=F(8, 9), max_denominator=10**6),
+    st.integers(1, 10**6).map(lambda k: 1 - F(k, 10**12)),
+)
+lookup_heads = st.lists(
+    st.one_of(
+        st.fractions(min_value=F(1, 2**20), max_value=F(1, 2**12), max_denominator=2**21),
+        st.fractions(min_value=F(1, 20), max_value=F(1, 5), max_denominator=20),
+    ),
+    min_size=1,
+    max_size=4,
+)
+lookup_families = st.one_of(
+    lookup_ratios.map(Geometric),
+    st.builds(MixedHeadTail, lookup_heads.map(tuple), lookup_ratios),
+)
+
+
+@given(lookup_families, st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_bucket_lookup_matches_binary_search(source, seed):
+    t = numeric._tables(DigitRemap(source, Geometric(F(1, 2)), Identity()))
+    edges = np.arange(numeric._BUCKETS) / numeric._BUCKETS
+    x = np.concatenate(
+        [
+            [0.0, numeric._BELOW_ONE],
+            t.prefix,
+            np.nextafter(t.prefix, 0.0),
+            np.nextafter(t.prefix, 1.0),
+            edges,
+            np.nextafter(edges, 0.0),
+            np.random.default_rng(seed).random(1000),
+        ]
+    )
+    x = np.clip(x, 0.0, numeric._BELOW_ONE)
+    assert np.array_equal(numeric._digit_index(t, x), searched_index(t.prefix, x))
+
+
+def test_remap_values_refuses_nan_and_clamps_infinities(swap_remap):
+    with pytest.raises(ValueError, match="NaN"):
+        remap_values(swap_remap, np.array([0.25, np.nan]))
+    ends = np.array([0.0, numeric._BELOW_ONE])
+    infinities = np.array([-np.inf, np.inf])
+    assert np.array_equal(remap_values(swap_remap, infinities), remap_values(swap_remap, ends))
+
+
+def test_a_mass_that_underflows_keeps_points_in_range():
+    # digit 64 has float mass 0.0 but starts below 1, so x = prefix(64) shifts to 0/0
+    source = MixedHeadTail((F(1, 128),) * 63 + (F(1, 10**400),), F(1, 2))
+    remap = DigitRemap(source, source, PairSwap())  # digit 64 reads on: its image mass is 1/128
+    xs = np.array([numeric._tables(remap).prefix[63], 0.7])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = remap_values(remap, xs)
+        assert np.max(np.abs(got - fixed_depth_values(remap, xs))) <= 2.0**-52
+
+
+@pytest.mark.parametrize("paths, depth", [(0, 10), (10, 0), (-1, 10)])
+def test_log_derivative_paths_refuse_empty_sizes(swap_remap, paths, depth):
+    with pytest.raises(ValueError, match="at least 1"):
+        log_derivative_paths(swap_remap, paths=paths, depth=depth)
