@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+from .core import _check_digit
 from .errors import NotBijective
 
 
@@ -34,32 +35,25 @@ class DigitBijection:
     def inverted(self) -> "DigitBijection":
         raise NotImplementedError
 
-    def is_identity(self) -> bool:
-        return False
-
     def eventual_structure(self) -> EventualShift:
         raise NotImplementedError
 
-
-def _check_positive(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"digit maps act on positive integers, got {n!r}")
-    return n
+    def is_identity(self) -> bool:
+        """No eventual offset moves a digit, and the head fixes every digit."""
+        start, _, offsets = self.eventual_structure()
+        return not any(offsets) and all(self.apply(n) == n for n in range(1, start))
 
 
 @dataclass(frozen=True)
 class Identity(DigitBijection):
     def apply(self, n: int) -> int:
-        return _check_positive(n)
+        return _check_digit(n)
 
     def inverse(self, m: int) -> int:
-        return _check_positive(m)
+        return _check_digit(m)
 
     def inverted(self) -> "Identity":
         return self
-
-    def is_identity(self) -> bool:
-        return True
 
     def eventual_structure(self) -> EventualShift:
         return EventualShift(1, 1, (0,))
@@ -74,7 +68,7 @@ class PairSwap(DigitBijection):
     """
 
     def apply(self, n: int) -> int:
-        _check_positive(n)
+        _check_digit(n)
         return n + 1 if n % 2 == 1 else n - 1
 
     def inverse(self, m: int) -> int:
@@ -103,10 +97,10 @@ class TablePermutation(DigitBijection):
         if not self.table:
             raise ValueError("permutation table must not be empty")
         for v in self.table:
-            _check_positive(v)
+            _check_digit(v)
 
     def apply(self, n: int) -> int:
-        _check_positive(n)
+        _check_digit(n)
         return self.table[n - 1] if n <= len(self.table) else n
 
     @cached_property
@@ -114,7 +108,7 @@ class TablePermutation(DigitBijection):
         return {v: i + 1 for i, v in enumerate(self.table)}
 
     def inverse(self, m: int) -> int:
-        _check_positive(m)
+        _check_digit(m)
         if m in self._inverse_table:
             return self._inverse_table[m]
         if m <= len(self.table):
@@ -124,9 +118,6 @@ class TablePermutation(DigitBijection):
     def inverted(self) -> "TablePermutation":
         verify_bijection(self)
         return TablePermutation(tuple(i for _, i in sorted(self._inverse_table.items())))
-
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.table))
 
     def eventual_structure(self) -> EventualShift:
         return EventualShift(len(self.table) + 1, 1, (0,))

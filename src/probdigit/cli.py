@@ -22,7 +22,7 @@ from . import configio, numeric
 from .bijections import verify_bijection
 from .core import DigitSeq, cylinder, decode, evaluate
 from .derivative import cylinder_derivative, derivative_ratio, digit_counts
-from .errors import DomainError, NotBijective, ProbDigitError
+from .errors import ProbDigitError
 from .remap import (
     DigitRemap,
     closed_form_integral,
@@ -261,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except (DomainError, NotBijective, ValueError, ZeroDivisionError, TypeError, ProbDigitError) as exc:
+    except (ProbDigitError, ValueError, ZeroDivisionError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

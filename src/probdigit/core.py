@@ -61,6 +61,14 @@ def as_fraction(value: Rational) -> Fraction:
     return Fraction(value)
 
 
+def _as_point(value: Rational, name: str = "x") -> Fraction:
+    """`as_fraction`, then check that the point lies in [0, 1)."""
+    x = as_fraction(value)
+    if not (ZERO <= x < ONE):
+        raise DomainError(f"{name} must lie in [0, 1), got {x}")
+    return x
+
+
 def log_rational(x: Fraction) -> float:
     """ln x, finite where float(x) under- or overflows, and accurate near 1."""
     if ONE < 2 * x < 4:
@@ -111,10 +119,9 @@ class ProbVector:
     ``prefix(1) == 0``), both wrapped in ``_head_memoized``, and the
     eventually geometric ``value_form``.
     Everything else follows here: the complementary ``tail_mass``, the
-    ``prefix_form`` that powers exact series summation, and the float hint
-    for the digit search.  Instances are immutable and compare equal when
-    they assign the same mass to every digit, regardless of how they were
-    described.
+    ``prefix_form``, and from it the float hint for the digit search.
+    Instances are immutable and compare equal when they assign the same mass
+    to every digit, regardless of how they were described.
     """
 
     def p(self, j: int) -> Fraction:
@@ -171,7 +178,7 @@ class ProbVector:
         max_digit = start + MAX_PREFIX_BITS // ratio.denominator.bit_length()
         return log_rational(coeff), min(log_rational(ratio), -math.ulp(0.0)), max_digit
 
-    def digit_of(self, x: Fraction) -> int:
+    def digit_of(self, x: Rational) -> int:
         """The unique digit n with prefix(n) <= x < prefix(n+1).
 
         The bits of the exact prefix(n) grow linearly in n, so a huge digit
@@ -179,8 +186,7 @@ class ProbVector:
         MAX_PREFIX_BITS bits raises DomainError.  At that budget a whole
         search stays under a second (2-vCPU host).
         """
-        if not (ZERO <= x < ONE):
-            raise DomainError(f"x must lie in [0, 1), got {x}")
+        x = _as_point(x)
         return self._shift(x.numerator, x.denominator)[0]
 
     def _shift(self, num: int, den: int) -> tuple[int, int, int]:
@@ -475,9 +481,7 @@ def decode(pv: ProbVector, x: Rational, depth: int) -> DigitSeq:
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    x = as_fraction(x)
-    if not (ZERO <= x < ONE):
-        raise DomainError(f"x must lie in [0, 1), got {x}")
+    x = _as_point(x)
     num, den = x.numerator, x.denominator
     digits = []
     for _ in range(depth):
@@ -488,9 +492,7 @@ def decode(pv: ProbVector, x: Rational, depth: int) -> DigitSeq:
 
 def shift_value(pv: ProbVector, x: Rational) -> Fraction:
     """Drop the leading digit of x's expansion: (x - prefix(n_1)) / p_{n_1}."""
-    x = as_fraction(x)
-    if not (ZERO <= x < ONE):
-        raise DomainError(f"x must lie in [0, 1), got {x}")
+    x = _as_point(x)
     _, num, den = pv._shift(x.numerator, x.denominator)
     return Fraction(num, den)
 

@@ -128,7 +128,8 @@ def remap_values(
     decoded digit string; the pair (values, log_derivatives) is returned.
 
     Points are clamped to [0, 1), so -inf reads as 0 and +inf as the largest
-    float below 1; a NaN point raises ValueError.
+    float below 1; a NaN point raises ValueError.  Values are capped at that
+    largest float too, since an image just below 1 can round up to 1.0.
     """
     t = _tables(remap)
     x = np.asarray(xs, dtype=float)
@@ -141,30 +142,33 @@ def remap_values(
     prod = np.ones_like(x)
     dlog = np.zeros_like(x) if with_log_derivative else None
     live = None if with_log_derivative else np.arange(x.size)  # positions of y in out
-    for _ in range(depth):
-        idx = _digit_index(t, x)
-        y += t.image_prefix[idx] * prod
-        prod *= t.image_mass[idx]
-        if dlog is not None:
-            dlog += t.log_ratio[idx]
-        x -= t.prefix[idx]
-        x /= t.mass[idx]
-        # x >= prefix[idx], so only the upper end needs clamping; fmin, unlike clip,
-        # also turns the NaN of 0/0 at a mass that underflows to 0.0 into a point
-        np.fmin(x, _BELOW_ONE, out=x)
-        if live is not None:
-            done = prod < _RESOLUTION
-            if done.any():
-                out[live[done]] = y[done] + prod[done] * t.tail_const
-                keep = ~done
-                # one at a time, so at most one dropped array waits for release
-                live = live[keep]
-                x = x[keep]
-                y = y[keep]
-                prod = prod[keep]
+    # a mass that underflows to 0.0 divides to inf, or to NaN at 0/0; the fmin
+    # below takes both back into [0, 1), since fmin, unlike clip, maps NaN to the bound
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(depth):
+            idx = _digit_index(t, x)
+            y += t.image_prefix[idx] * prod
+            prod *= t.image_mass[idx]
+            if dlog is not None:
+                dlog += t.log_ratio[idx]
+            x -= t.prefix[idx]
+            x /= t.mass[idx]
+            # x >= prefix[idx], so only the upper end needs clamping
+            np.fmin(x, _BELOW_ONE, out=x)
+            if live is not None:
+                done = prod < _RESOLUTION
+                if done.any():
+                    out[live[done]] = y[done] + prod[done] * t.tail_const
+                    keep = ~done
+                    # one at a time, so at most one dropped array waits for release
+                    live = live[keep]
+                    x = x[keep]
+                    y = y[keep]
+                    prod = prod[keep]
     y += prod * t.tail_const
     if live is not None:
         out[live] = y
+    np.fmin(out, _BELOW_ONE, out=out)
     out = out.reshape(shape)
     return (out, dlog.reshape(shape)) if with_log_derivative else out
 

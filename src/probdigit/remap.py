@@ -23,23 +23,22 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .bijections import DigitBijection, EventualShift, verify_bijection
+from .bijections import DigitBijection, verify_bijection
 from .core import (
     DIGIT_CAP,
     ONE,
     ZERO,
     DigitSeq,
     Evaluation,
-    GeometricForm,
     ProbVector,
     Rational,
-    as_fraction,
+    _as_point,
     decode,
     evaluate,
 )
-from .errors import DomainError, TruncationError
+from .errors import TruncationError
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class DigitRemap:
         """`_digit_sums` over digits 1..DIGIT_CAP, shared by every bracket depth."""
         return _digit_sums(self, DIGIT_CAP)
 
-    @property
+    @cached_property
     def is_identity(self) -> bool:
         return self.digit_map.is_identity() and self.source == self.target
 
@@ -66,9 +65,6 @@ class DigitRemap:
         """Rewrite every digit, tail included; an all-ones tail becomes the
         constant phi(1) tail on the image side."""
         return seq.mapped(self.digit_map.apply)
-
-    def preimage_digits(self, seq: DigitSeq) -> DigitSeq:
-        return seq.mapped(self.digit_map.inverse)
 
     def point_value(self, seq: DigitSeq) -> Fraction:
         """Exact image of the exact point named by `seq` (digits plus tail)."""
@@ -83,9 +79,7 @@ class DigitRemap:
         both this value and the true image.  When the remap is the identity
         function the value is returned exactly at any depth.
         """
-        x = as_fraction(x)
-        if not (ZERO <= x < ONE):
-            raise DomainError(f"x must lie in [0, 1), got {x}")
+        x = _as_point(x)
         if self.is_identity:
             return Evaluation(x, ZERO)
         image = self.image_digits(decode(self.source, x, depth))
@@ -99,9 +93,7 @@ class DigitRemap:
         lies within error_bound above it.  Applying the remap to the result
         reproduces y's first `depth` digits exactly.
         """
-        y = as_fraction(y)
-        if not (ZERO <= y < ONE):
-            raise DomainError(f"y must lie in [0, 1), got {y}")
+        y = _as_point(y, "y")
         if self.is_identity:
             return Evaluation(y, ZERO)
         image = decode(self.target, y, depth)
@@ -170,42 +162,38 @@ def _digit_sums(remap: DigitRemap, count: int) -> tuple[Fraction, Fraction]:
     return s_pref, s_mass
 
 
-def _eventual_start(sv: GeometricForm, tv: GeometricForm, ev: EventualShift) -> int:
-    """First digit j from which p_j (source value form `sv`), the digit map
-    (`ev`) and the target forms at phi(j) (`tv`) all hold."""
-    return max(sv.start, ev.start, tv.start + max(abs(c) for c in ev.offsets))
-
-
-def _residue_classes(start: int, ev: EventualShift) -> Iterator[tuple[int, int]]:
-    """Each residue class of the map's eventual period as (j0, offset): j0 is
-    the class's first digit from `start` on, and phi(j) = j + offset for every
-    digit j = j0 + k * period of the class."""
-    for j0 in range(start, start + ev.period):
-        yield j0, ev.offsets[j0 % ev.period]
+def _eventual_classes(remap: DigitRemap) -> tuple[int, int, Fraction, Fraction]:
+    """(start, period, q, t): from digit `start` on, the source masses, the
+    digit map and the target forms at phi(j) are all in closed form, so along
+    each residue class j, j + period, j + 2 * period, ... of the map's
+    eventual period, p_j and the target mass and tail mass at phi(j) each
+    scale by q (source) or t (target), the family ratios to the power period.
+    """
+    sv = remap.source.value_form()
+    tv = remap.target.value_form()
+    start, period, offsets = remap.digit_map.eventual_structure()
+    start = max(sv.start, start, tv.start + max(abs(c) for c in offsets))
+    return start, period, sv.ratio**period, tv.ratio**period
 
 
 def _series_sums_exact(remap: DigitRemap) -> tuple[Fraction, Fraction]:
     """Exact (sum prefix_target(phi(j)) p_j, sum p_target(phi(j)) p_j).
 
-    Past `_eventual_start`, p_j, the target masses and the digit map are all
-    in closed form, so each residue class of the map's eventual period
-    contributes plain geometric series; everything before that start is summed
-    term by term.
+    Digits before the `_eventual_classes` start are summed term by term.
+    From there on, the class of digit j with m = phi(j) contributes the
+    geometric series p_j o_m / (1 - q t) to the mass sum and
+    p_j / (1 - q) - p_j tail_target(m) / (1 - q t) to the prefix sum, where
+    o_m is the target mass and tail_target(m) = 1 - prefix_target(m).
     """
-    sv = remap.source.value_form()
-    tv = remap.target.value_form()
-    tp = remap.target.prefix_form()
-    ev = remap.digit_map.eventual_structure()
-    start = _eventual_start(sv, tv, ev)
+    src, tgt, phi = remap.source, remap.target, remap.digit_map
+    start, period, q, t = _eventual_classes(remap)
     s_pref, s_mass = _digit_sums(remap, start - 1)
-    z = sv.ratio * tv.ratio
-    z_step = ONE - z**ev.period
-    q_step = ONE - sv.ratio**ev.period
-    for j0, off in _residue_classes(start, ev):
-        geo_z = z**j0 / z_step
-        geo_q = sv.ratio**j0 / q_step
-        s_mass += tv.coeff * sv.coeff * tv.ratio**off * geo_z
-        s_pref += sv.coeff * geo_q - tp.coeff * sv.coeff * tv.ratio**off * geo_z
+    both = ONE - q * t
+    for j in range(start, start + period):
+        m = phi.apply(j)
+        pj = src.p(j)
+        s_mass += pj * tgt.p(m) / both
+        s_pref += pj / (ONE - q) - pj * tgt.tail_mass(m) / both
     return s_pref, s_mass
 
 

@@ -223,9 +223,17 @@ def test_a_mass_that_underflows_keeps_points_in_range():
     source = MixedHeadTail((F(1, 128),) * 63 + (F(1, 10**400),), F(1, 2))
     remap = DigitRemap(source, source, PairSwap())  # digit 64 reads on: its image mass is 1/128
     xs = np.array([numeric._tables(remap).prefix[63], 0.7])
+    got = remap_values(remap, xs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        got = remap_values(remap, xs)
-        assert np.max(np.abs(got - fixed_depth_values(remap, xs))) <= 2.0**-52
+        want = fixed_depth_values(remap, xs)
+    assert np.max(np.abs(got - want)) <= 2.0**-52
+
+
+def test_an_image_that_rounds_up_to_one_stays_below_one():
+    # the exact image of the point just below 1 is below 1, but its float sum rounds to 1.0
+    remap = DigitRemap(Geometric(F(2, 3)), Geometric(F(1, 2)), PairSwap())
+    got = remap_values(remap, np.array([numeric._BELOW_ONE, np.inf]))
+    assert np.array_equal(got, [numeric._BELOW_ONE] * 2)
 
 
 @pytest.mark.parametrize("paths, depth", [(0, 10), (10, 0), (-1, 10)])
