@@ -14,6 +14,7 @@ error, 3 numerical self-check failure (closed form outside the bracket),
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -22,7 +23,7 @@ from . import configio, numeric
 from .bijections import verify_bijection
 from .core import DigitSeq, cylinder, decode, evaluate
 from .derivative import cylinder_derivative, derivative_ratio, digit_counts
-from .errors import ProbDigitError
+from .errors import DomainError, ProbDigitError
 from .remap import (
     DigitRemap,
     closed_form_integral,
@@ -37,6 +38,7 @@ EXIT_SELFCHECK = 3
 EXIT_IO = 4
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="probdigit",
@@ -110,10 +112,22 @@ def _cmd_eval_g(args: argparse.Namespace) -> int:
 def _cmd_integral(args: argparse.Namespace) -> int:
     cfg = _config(args)
     remap = _remap(cfg)
-    closed = closed_form_integral(remap, terms=cfg.terms)
-    bracket = integral_bracket(remap, args.bracket_depth)
+    flag = "" if cfg.terms is None else "--terms: "
+    try:
+        closed = closed_form_integral(remap, terms=cfg.terms)
+    except DomainError as exc:
+        raise DomainError(f"{flag}{exc}") from None
+    try:
+        closed_line = f"closed={closed.value} tail_bound={closed.tail_bound}"
+    except ValueError:  # past the interpreter's limit on int-to-str digits
+        digits = sys.get_int_max_str_digits()
+        raise DomainError(f"{flag}the closed form has over {digits} digits to print") from None
+    try:
+        bracket = integral_bracket(remap, args.bracket_depth)
+    except DomainError as exc:
+        raise DomainError(f"--bracket-depth: {exc}") from None
     mc = numeric.monte_carlo_integral(remap, samples=args.samples, seed=cfg.seed)
-    print(f"closed={closed.value} tail_bound={closed.tail_bound}")
+    print(closed_line)
     # endpoints are exact rationals internally (and the self-check below
     # compares exactly); print floats because depth-8 denominators are huge
     print(

@@ -42,8 +42,8 @@ Rational = int | str | Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MAX_PREFIX_BITS = 1 << 18  # bit budget of one exact prefix; see ProbVector.digit_of
-# Digits 1..DIGIT_CAP + 1 are the head: memoized exactly per family, and the
-# float path and integral_bracket enumerate them one by one
+# Digits 1..DIGIT_CAP + 1 are the head: memoized exactly per family, enumerated
+# one by one by the float path, and the digits integral_bracket's cylinders cover
 DIGIT_CAP = 64
 
 

@@ -13,8 +13,12 @@ integral over [0,1) has the closed form
 
     sum_j prefix_target(phi(j)) p_j   /   (1 - sum_j p_target(phi(j)) p_j)
 
-computed here both exactly (splitting each series into a finite head plus
-eventually geometric residue classes) and as rigorous finite brackets.
+Under Lebesgue measure the source digits are i.i.d. with law p, so each
+series, whole or truncated, is a finite head plus `period` geometric residue
+classes, and one helper, `_digit_sums`, sums every such series per class in
+closed form.  The integral is computed here exactly, as a truncated sum with
+its tail bound, and as rigorous finite brackets, whose per-level recursion
+is itself summed in closed form.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import NamedTuple
 from .bijections import DigitBijection, verify_bijection
 from .core import (
     DIGIT_CAP,
+    MAX_PREFIX_BITS,
     ONE,
     ZERO,
     DigitSeq,
@@ -38,7 +43,7 @@ from .core import (
     decode,
     evaluate,
 )
-from .errors import TruncationError
+from .errors import DomainError, TruncationError
 
 
 @dataclass(frozen=True)
@@ -149,19 +154,6 @@ class IntegralBracket(NamedTuple):
         return self.lower <= x <= self.upper
 
 
-def _digit_sums(remap: DigitRemap, count: int) -> tuple[Fraction, Fraction]:
-    """(sum prefix_target(phi(j)) p_j, sum p_target(phi(j)) p_j) over j = 1..count."""
-    src, tgt, phi = remap.source, remap.target, remap.digit_map
-    s_pref = ZERO
-    s_mass = ZERO
-    for j in range(1, count + 1):
-        m = phi.apply(j)
-        pj = src.p(j)
-        s_pref += tgt.prefix(m) * pj
-        s_mass += tgt.p(m) * pj
-    return s_pref, s_mass
-
-
 def _eventual_classes(remap: DigitRemap) -> tuple[int, int, Fraction, Fraction]:
     """(start, period, q, t): from digit `start` on, the source masses, the
     digit map and the target forms at phi(j) are all in closed form, so along
@@ -176,24 +168,39 @@ def _eventual_classes(remap: DigitRemap) -> tuple[int, int, Fraction, Fraction]:
     return start, period, sv.ratio**period, tv.ratio**period
 
 
-def _series_sums_exact(remap: DigitRemap) -> tuple[Fraction, Fraction]:
-    """Exact (sum prefix_target(phi(j)) p_j, sum p_target(phi(j)) p_j).
+def _digit_sums(remap: DigitRemap, count: int | None = None) -> tuple[Fraction, Fraction]:
+    """(sum prefix_target(phi(j)) p_j, sum p_target(phi(j)) p_j) over the
+    digits j = 1..count, or over every digit when count is None.
 
     Digits before the `_eventual_classes` start are summed term by term.
-    From there on, the class of digit j with m = phi(j) contributes the
-    geometric series p_j o_m / (1 - q t) to the mass sum and
-    p_j / (1 - q) - p_j tail_target(m) / (1 - q t) to the prefix sum, where
-    o_m is the target mass and tail_target(m) = 1 - prefix_target(m).
+    From there on, the K digits j0, j0 + period, ... up to count of one
+    residue class, with m = phi(j0), o_m the target mass and
+    tail_target(m) = 1 - prefix_target(m), are two finite geometric series:
+    the class adds p_j0 o_m (1 - (qt)^K) / (1 - qt) to the mass sum and
+    p_j0 (1 - q^K) / (1 - q) - p_j0 tail_target(m) (1 - (qt)^K) / (1 - qt)
+    to the prefix sum.  count None is K infinite, where both powers vanish:
+    the exact sums.
     """
     src, tgt, phi = remap.source, remap.target, remap.digit_map
     start, period, q, t = _eventual_classes(remap)
-    s_pref, s_mass = _digit_sums(remap, start - 1)
-    both = ONE - q * t
-    for j in range(start, start + period):
+    qt = q * t
+    end = start + period if count is None else count + 1  # past the last digit summed directly
+    s_pref = s_mass = ZERO
+    for j in range(1, min(end, start)):
         m = phi.apply(j)
         pj = src.p(j)
-        s_mass += pj * tgt.p(m) / both
-        s_pref += pj / (ONE - q) - pj * tgt.tail_mass(m) / both
+        s_pref += tgt.prefix(m) * pj
+        s_mass += tgt.p(m) * pj
+    for j in range(start, min(end, start + period)):
+        if count is None:
+            geo_q, geo_qt = ONE / (ONE - q), ONE / (ONE - qt)
+        else:
+            k = (count - j) // period + 1
+            geo_q, geo_qt = (ONE - q**k) / (ONE - q), (ONE - qt**k) / (ONE - qt)
+        m = phi.apply(j)
+        pj = src.p(j)
+        s_mass += pj * tgt.p(m) * geo_qt
+        s_pref += pj * (geo_q - tgt.tail_mass(m) * geo_qt)
     return s_pref, s_mass
 
 
@@ -225,14 +232,23 @@ def closed_form_integral(
     are truncated after `terms` entries (or enough entries to push the source
     tail mass below 10**-12) and the leftover mass bounds the result from
     above: both omitted tails are sums of target quantities below 1 weighted
-    by the remaining source mass.
+    by the remaining source mass.  The powers of the source and target
+    ratios behind `terms` entries grow by a fixed number of bits per entry,
+    so `terms` whose powers would need more than MAX_PREFIX_BITS bits raise
+    DomainError before anything is summed.
     """
     if terms is None and exact:
-        s_pref, s_mass = _series_sums_exact(remap)
+        s_pref, s_mass = _digit_sums(remap)
         return ClosedFormIntegral(s_pref / (ONE - s_mass), ZERO)
     n = terms if terms is not None else _terms_for_tolerance(remap.source, _TOLERANCE)
     if n < 1:
         raise ValueError("terms must be at least 1")
+    if terms is not None:
+        start, period, q, t = _eventual_classes(remap)
+        bits = max(q.denominator.bit_length(), (q * t).denominator.bit_length())
+        most = start - 1 + MAX_PREFIX_BITS // bits * period
+        if n > most:
+            raise DomainError(f"terms {n} exceeds {most}: its sums need over {MAX_PREFIX_BITS} bits")
     s_pref, s_mass = _digit_sums(remap, n)
     slack = remap.source.tail_mass(n + 1)
     denom_hi = ONE - s_mass
@@ -253,21 +269,31 @@ def integral_bracket(remap: DigitRemap, depth: int) -> IntegralBracket:
     or below `DIGIT_CAP`, plus a remainder band at each node for the larger
     digits.  On a covered cylinder the function is pinned inside its image
     cylinder; on a band it is pinned inside the surrounding node's image
-    cylinder.  Self-similarity collapses the sum over that tree into a
-    per-level recursion, so the cost is linear in depth instead of
-    exponential; tests replay the explicit enumeration to confirm equality.
-    Both endpoints are exact rationals, the true integral always lies
-    between them, and the bracket tightens strictly as depth grows.
+    cylinder.  Self-similarity collapses the sum over that tree into the
+    affine per-level recursion lower -> A + B lower, upper -> A + B upper +
+    band from (0, 1), with (A, B) the head sums over digits 1..DIGIT_CAP and
+    band the source mass past it; its closed form after `depth` levels is
+
+        lower = A (1 - B^depth) / (1 - B)
+        upper = B^depth + (A + band) (1 - B^depth) / (1 - B)
+
+    so the cost is one power instead of a loop over the levels, and tests
+    replay both the recursion and the explicit enumeration to confirm
+    equality.  Both endpoints are exact rationals, the true integral always
+    lies between them, and the bracket tightens strictly as depth grows.
+    B^depth grows by B's bits per level, so a depth at which it would need
+    more than MAX_PREFIX_BITS bits raises DomainError.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     pref_sum, mass_sum = remap._head_sums
+    most = MAX_PREFIX_BITS // mass_sum.denominator.bit_length()
+    if depth > most:
+        raise DomainError(f"depth {depth} exceeds {most}: the bracket needs over {MAX_PREFIX_BITS} bits")
     band = remap.source.tail_mass(DIGIT_CAP + 1)
-    lower, upper = ZERO, ONE
-    for _ in range(depth):
-        lower = pref_sum + mass_sum * lower
-        upper = pref_sum + mass_sum * upper + band
-    return IntegralBracket(lower, upper)
+    power = mass_sum**depth
+    levels = (ONE - power) / (ONE - mass_sum)  # 1 + B + ... + B^(depth - 1)
+    return IntegralBracket(pref_sum * levels, power + (pref_sum + band) * levels)
 
 
 @dataclass(frozen=True)

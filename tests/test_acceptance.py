@@ -99,10 +99,10 @@ def test_criterion_3_functional_equation():
 
 def test_criterion_4_integral_closed_form():
     started = time.monotonic()
-    from probdigit.remap import _series_sums_exact
+    from probdigit.remap import _digit_sums
 
     # the residue-class geometric summation behind 11/25
-    assert _series_sums_exact(SWAP) == (F(11, 32), F(7, 32))
+    assert _digit_sums(SWAP) == (F(11, 32), F(7, 32))
     expectations = [(IDENT, F(1, 2)), (SWAP, F(11, 25))]
     for remap, value in expectations:
         closed = closed_form_integral(remap)

@@ -1,5 +1,7 @@
 """End-to-end exercises of the command-line surface and its exit codes."""
 
+import json
+
 import pytest
 
 from probdigit.cli import main
@@ -83,6 +85,46 @@ def test_impossible_size_exits_2_with_one_line(run_bounded, argv):
     assert done.stdout == ""
     assert done.stderr.startswith("error: ")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--bracket-depth", "100000"], "error: --bracket-depth: depth 100000 exceeds 2570: "),
+        (["--terms", "1000000"], "error: --terms: terms 1000000 exceeds 131073: "),
+        (["--terms", "3000"], "error: --terms: the closed form has over 4300 digits to print\n"),
+    ],
+)
+def test_oversized_exact_work_exits_2_naming_the_flag(run_bounded, argv, message):
+    done = run_bounded("-m", "probdigit.cli", "integral", *argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith(message)
+    assert done.stderr.count("\n") == 1
+
+
+def test_one_process_prints_what_fresh_processes_print(run_bounded):
+    session = [
+        ["decode", "--nonsense", "1"],
+        ["decode", "--p", "geometric:1/2", "--x", "3/10", "--depth", "4"],
+        ["integral", *SWAP, "--samples", "2000", "--seed", "5", "--bracket-depth", "3"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from probdigit.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    print(json.dumps([code, out.getvalue(), err.getvalue()]))\n"
+    )
+    together = run_bounded("-c", script, json.dumps(session))
+    assert together.returncode == 0, together.stderr
+    calls = [json.loads(line) for line in together.stdout.splitlines()]
+    assert [code for code, _, _ in calls] == [2, 0, 0]
+    for argv, call in zip(session, calls):
+        fresh = run_bounded("-m", "probdigit.cli", *argv)
+        assert call == [fresh.returncode, fresh.stdout, fresh.stderr]
 
 
 def test_integral_identity_reports_half(capsys):

@@ -1,10 +1,14 @@
 """The exact series, the brackets and the log-ratio law over randomly drawn
 configurations: geometric and mixed source and target families, with the
-identity, the pair swap or a random permutation table as the digit map."""
+identity, the pair swap or a random permutation table as the digit map.
+
+The library sums every series per residue class in closed form; the oracles
+here sum one digit, or one bracket level, at a time."""
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from probdigit import (
@@ -18,8 +22,8 @@ from probdigit import (
     expected_log_ratio,
     integral_bracket,
 )
-from probdigit.core import log_rational
-from probdigit.remap import _digit_sums, _series_sums_exact, _terms_for_tolerance
+from probdigit.core import DIGIT_CAP, log_rational
+from probdigit.remap import _digit_sums, _eventual_classes, _terms_for_tolerance
 
 F = Fraction
 
@@ -44,23 +48,74 @@ def families(draw):
     return MixedHeadTail(tuple(head), q)
 
 
-digit_maps = st.one_of(
-    st.just(Identity()),
-    st.just(PairSwap()),
-    st.integers(2, 12).flatmap(
-        lambda size: st.permutations(range(1, size + 1)).map(lambda t: TablePermutation(tuple(t)))
-    ),
-)
+def digit_maps(largest_table):
+    return st.one_of(
+        st.just(Identity()),
+        st.just(PairSwap()),
+        st.integers(2, largest_table).flatmap(
+            lambda size: st.permutations(range(1, size + 1)).map(lambda t: TablePermutation(tuple(t)))
+        ),
+    )
 
-remaps = st.builds(DigitRemap, families(), families(), digit_maps)
+
+remaps = st.builds(DigitRemap, families(), families(), digit_maps(12))
+wide_remaps = st.builds(DigitRemap, families(), families(), digit_maps(30))
+
+
+def partial_sums(remap, count):
+    """[(sum prefix_target(phi(j)) p_j, sum p_target(phi(j)) p_j) over
+    j = 1..n for n = 0..count], adding one digit at a time."""
+    src, tgt, phi = remap.source, remap.target, remap.digit_map
+    sums = [(F(0), F(0))]
+    for j in range(1, count + 1):
+        m = phi.apply(j)
+        s_pref, s_mass = sums[-1]
+        sums.append((s_pref + tgt.prefix(m) * src.p(j), s_mass + tgt.p(m) * src.p(j)))
+    return sums
+
+
+def assert_partial_sums_equal_the_digit_by_digit_sums(remap):
+    start, period, _, _ = _eventual_classes(remap)
+    sums = partial_sums(remap, 257)
+    for n in [*range(start + 2 * period + 2), 64, 257]:
+        assert _digit_sums(remap, n) == sums[n]
+
+
+@given(wide_remaps)
+@settings(deadline=None, max_examples=60)
+def test_partial_sums_equal_the_digit_by_digit_sums(remap):
+    assert_partial_sums_equal_the_digit_by_digit_sums(remap)
+
+
+# a tiny ratio and two within float precision of 1, whose exact powers grow
+# by about 100 bits per digit
+@pytest.mark.parametrize("q", [F(1, 10**30), 1 - F(1, 10**20), 1 - F(1, 10**30)])
+def test_partial_sums_under_extreme_ratios(q):
+    mixed = MixedHeadTail((F(1, 3), F(1, 5)), F(7, 10))
+    assert_partial_sums_equal_the_digit_by_digit_sums(DigitRemap(Geometric(q), mixed, PairSwap()))
+    reversal = TablePermutation(tuple(range(30, 0, -1)))
+    assert_partial_sums_equal_the_digit_by_digit_sums(DigitRemap(mixed, Geometric(q), reversal))
+
+
+@given(wide_remaps)
+@settings(deadline=None, max_examples=30)
+def test_bracket_equals_the_per_level_recursion(remap):
+    pref_sum, mass_sum = partial_sums(remap, DIGIT_CAP)[-1]
+    band = remap.source.tail_mass(DIGIT_CAP + 1)
+    lower, upper = F(0), F(1)
+    for depth in range(1, 41):
+        lower = pref_sum + mass_sum * lower
+        upper = pref_sum + mass_sum * upper + band
+        assert integral_bracket(remap, depth) == (lower, upper)
 
 
 @given(remaps)
 @settings(deadline=None, max_examples=60)
 def test_exact_series_lie_between_partial_sums_and_their_tail(remap):
-    exact = _series_sums_exact(remap)
+    exact = _digit_sums(remap)
+    sums = partial_sums(remap, 40)
     for n in (1, 4, 16, 40):
-        partial = _digit_sums(remap, n)
+        partial = sums[n]
         tail = remap.source.tail_mass(n + 1)
         for lo, value in zip(partial, exact):
             assert lo <= value <= lo + tail

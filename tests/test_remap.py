@@ -177,20 +177,20 @@ class TestResidual:
 
 class TestClosedFormIntegral:
     def test_identity_over_halves(self, identity_remap):
-        from probdigit.remap import _series_sums_exact
+        from probdigit.remap import _digit_sums
 
         result = closed_form_integral(identity_remap)
         assert result == (F(1, 2), 0)
         # numerator 1/3 over denominator 1 - 1/3 = 2/3
-        assert _series_sums_exact(identity_remap) == (F(1, 3), F(1, 3))
+        assert _digit_sums(identity_remap) == (F(1, 3), F(1, 3))
 
     def test_pairswap_worked_example(self, swap_remap):
-        from probdigit.remap import _series_sums_exact
+        from probdigit.remap import _digit_sums
 
         result = closed_form_integral(swap_remap)
         assert result.value == F(11, 25)
         assert result.tail_bound == 0
-        assert _series_sums_exact(swap_remap) == (F(11, 32), F(7, 32))
+        assert _digit_sums(swap_remap) == (F(11, 32), F(7, 32))
 
     def test_series_sums_against_brute_force(self, swap_remap, table_remap):
         for remap in (swap_remap, table_remap):
@@ -242,11 +242,17 @@ class TestClosedFormIntegral:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "tolerance must be positive\n" * 2
 
+    def test_terms_past_the_bit_budget_are_refused(self, swap_remap):
+        # period 2, q = (1/2)^2 and q t = 1/9: 4 bits per class term, and
+        # 2^18 // 4 = 65536 terms per class
+        with pytest.raises(DomainError, match="terms 131074 exceeds 131073"):
+            closed_form_integral(swap_remap, terms=131074)
+
     def test_numerator_and_denominator_signs(self, swap_remap, table_remap, identity_remap):
-        from probdigit.remap import _series_sums_exact
+        from probdigit.remap import _digit_sums
 
         for remap in (swap_remap, table_remap, identity_remap):
-            s_pref, s_mass = _series_sums_exact(remap)
+            s_pref, s_mass = _digit_sums(remap)
             assert s_pref >= 0
             assert 0 < 1 - s_mass <= 1
 
@@ -302,6 +308,13 @@ class TestIntegralBracket:
                 fresh = DigitRemap(remap.source, remap.target, remap.digit_map)
                 bracket = integral_bracket(fresh, depth)
                 assert (bracket.lower, bracket.upper) == enumerate_bracket(remap, depth, cap)
+
+    def test_depth_past_the_bit_budget_is_refused(self, swap_remap):
+        # the 64-digit head sum B of the worked example has a 102-bit
+        # denominator, and 2570 * 102 <= MAX_PREFIX_BITS < 2571 * 102
+        assert integral_bracket(swap_remap, 2570).contains(F(11, 25))
+        with pytest.raises(DomainError, match="depth 2571 exceeds 2570"):
+            integral_bracket(swap_remap, 2571)
 
     def test_closed_form_always_inside(self, swap_remap, table_remap, identity_remap, mixed):
         remaps = [
