@@ -44,7 +44,6 @@ from .errors import (
     InvalidDistribution,
     NotBijective,
     ProbDigitError,
-    TruncationError,
 )
 from .remap import (
     ClosedFormIntegral,
@@ -80,7 +79,6 @@ __all__ = [
     "ProbDigitError",
     "ProbVector",
     "TablePermutation",
-    "TruncationError",
     "Verdict",
     "as_fraction",
     "classify_point",

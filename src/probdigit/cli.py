@@ -6,6 +6,10 @@
     probdigit sample    --count 1000 --out grid.csv
     probdigit selfcheck
 
+`integral` prints the exact closed form, so its `tail_bound` is always 0.
+Every command takes `--config FILE`, whose keys are `configio.CONFIG_KEYS`;
+flags override it.
+
 Exit codes: 0 success, 1 invariant failure (selfcheck), 2 usage or domain
 error, 3 numerical self-check failure (closed form outside the bracket),
 4 I/O error.
@@ -51,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--o", help="target distribution descriptor")
         p.add_argument("--phi", help="digit map descriptor")
         p.add_argument("--depth", help="expansion depth K")
-        p.add_argument("--terms", help="series truncation length")
         p.add_argument("--seed", help="seed for float-path sampling")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--config", help="key=value config file; flags override it")
@@ -79,8 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict[str, str | None]:
-    keys = ("p", "o", "phi", "depth", "terms", "seed", "out")
-    return {k: getattr(args, k, None) for k in keys}
+    return {k: getattr(args, k, None) for k in configio.CONFIG_KEYS}
 
 
 def _config(args: argparse.Namespace) -> configio.RunConfig:
@@ -112,19 +114,15 @@ def _cmd_eval_g(args: argparse.Namespace) -> int:
 def _cmd_integral(args: argparse.Namespace) -> int:
     cfg = _config(args)
     remap = _remap(cfg)
-    flag = "" if cfg.terms is None else "--terms: "
-    try:
-        closed = closed_form_integral(remap, terms=cfg.terms)
-    except DomainError as exc:
-        raise DomainError(f"{flag}{exc}") from None
+    closed = closed_form_integral(remap)
     try:
         closed_line = f"closed={closed.value} tail_bound={closed.tail_bound}"
     except ValueError:  # past the interpreter's limit on int-to-str digits
         digits = sys.get_int_max_str_digits()
-        raise DomainError(f"{flag}the closed form has over {digits} digits to print") from None
+        raise DomainError(f"the closed form has over {digits} digits to print") from None
     try:
         bracket = integral_bracket(remap, args.bracket_depth)
-    except DomainError as exc:
+    except (DomainError, ValueError) as exc:
         raise DomainError(f"--bracket-depth: {exc}") from None
     mc = numeric.monte_carlo_integral(remap, samples=args.samples, seed=cfg.seed)
     print(closed_line)

@@ -8,7 +8,8 @@ decimal strings):
     identity | pairswap | table:[2,3,1]
 
 Config files are key=value lines (# starts a comment) with the same keys the
-command line uses: p, o, phi, depth, terms, seed, out.
+command line uses, `CONFIG_KEYS`: p, o, phi, depth, seed, out.  Any other key
+is refused, naming its line.
 """
 
 from __future__ import annotations
@@ -114,8 +115,11 @@ def render_digit_map(phi: DigitBijection) -> str:
     raise TypeError(f"cannot render {type(phi).__name__}")
 
 
+CONFIG_KEYS = ("p", "o", "phi", "depth", "seed", "out")
+
+
 def read_config_file(path: str) -> dict[str, str]:
-    """key=value lines; blank lines and # comments ignored."""
+    """key=value lines over `CONFIG_KEYS`; blank lines and # comments ignored."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -124,8 +128,11 @@ def read_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                accepted = ", ".join(CONFIG_KEYS)
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; accepted keys: {accepted}")
+            out[key] = value
     return out
 
 
@@ -144,7 +151,6 @@ class RunConfig:
     target: ProbVector
     digit_map: DigitBijection
     depth: int
-    terms: int | None
     seed: int
     out: str | None
 
@@ -162,13 +168,11 @@ def build_run_config(
     depth = int(values["depth"])
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    terms = int(values["terms"]) if values.get("terms") else None
     return RunConfig(
         source=parse_distribution(values["p"]),
         target=parse_distribution(values["o"]),
         digit_map=parse_digit_map(values["phi"]),
         depth=depth,
-        terms=terms,
         seed=int(values["seed"]),
         out=values.get("out"),
     )

@@ -15,7 +15,3 @@ class DomainError(ProbDigitError):
 
 class NotBijective(ProbDigitError):
     """A digit map failed a bijectivity check."""
-
-
-class TruncationError(ProbDigitError):
-    """A truncated series cannot produce a usable enclosure."""

@@ -7,8 +7,10 @@ forms from an independent code path, and for law-of-large-numbers style
 diagnostics (sampled log-derivative paths against the exact law of
 `probdigit.derivative.expected_log_ratio`).  All randomness is drawn from
 seeded generators, so every output is reproducible.  Digits above
-`DIGIT_CAP` are clamped to it everywhere: their total source mass is a
-geometric sliver.
+`DIGIT_CAP` are clamped to it everywhere.  That is harmless only when the
+source mass past `DIGIT_CAP` is small: on a slow tail it is most of the mass
+(q**64, about 0.94 for `Geometric(999/1000)`), and the float results are then
+wrong by far more than their standard errors say.
 
 Value-only evaluation stops reading a point's digits once its image cylinder
 is narrower than float resolution, and the Monte Carlo and log-path routines

@@ -8,6 +8,8 @@ from probdigit.cli import main
 
 SWAP = ["--p", "geometric:1/2", "--o", "geometric:2/3", "--phi", "pairswap"]
 IDENT = ["--p", "geometric:1/2", "--o", "geometric:1/2", "--phi", "identity"]
+# sixty head masses with 91-digit denominators, then a halving tail
+HUGE_DENOMINATORS = "mixed:[" + ",".join(f"1/{10**90 + 2 * k + 1}" for k in range(60)) + "]:1/2"
 
 
 def run(capsys, argv):
@@ -65,6 +67,32 @@ def test_unknown_flag_exits_2(capsys):
     assert code == 2
 
 
+def test_retired_terms_flag_is_an_unknown_flag(capsys):
+    code, out, err = run(capsys, ["integral", "--terms", "5"])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --terms 5" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decode", "--x", "0", "--depth", "0"], "depth must be at least 1"),
+        (["sample", "--count", "0"], "count must be at least 1"),
+        (["integral", "--bracket-depth", "0"], "--bracket-depth: depth must be at least 1"),
+        (["decode", "--x", "0", "--p", "geometric q"], "expected key=value, got 'q'"),
+        (["decode", "--x", "0", "--p", "mixed:[1/3]"], "compact mixed form is mixed:[..]:q, got 'mixed:[1/3]'"),
+        (["decode", "--x", "0", "--phi", "table:[]"], "permutation table must not be empty"),
+    ],
+    ids=["depth-0", "count-0", "bracket-depth-0", "geometric-without-q", "mixed-without-tail", "empty-table"],
+)
+def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_decode_refuses_an_astronomical_digit_promptly(run_bounded):
     q = "99999999999999999999/100000000000000000000"
     done = run_bounded(
@@ -91,8 +119,8 @@ def test_impossible_size_exits_2_with_one_line(run_bounded, argv):
     "argv, message",
     [
         (["--bracket-depth", "100000"], "error: --bracket-depth: depth 100000 exceeds 2570: "),
-        (["--terms", "1000000"], "error: --terms: terms 1000000 exceeds 131073: "),
-        (["--terms", "3000"], "error: --terms: the closed form has over 4300 digits to print\n"),
+        # no flag to name here: the exact closed form has too many digits to print
+        (["--samples", "1000", "--p", HUGE_DENOMINATORS], "error: the closed form has over 4300 digits to print\n"),
     ],
 )
 def test_oversized_exact_work_exits_2_naming_the_flag(run_bounded, argv, message):
@@ -148,7 +176,7 @@ def test_integral_self_check_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(
         cli,
         "closed_form_integral",
-        lambda remap, terms=None: ClosedFormIntegral(Fraction(9, 10), Fraction(0)),
+        lambda remap: ClosedFormIntegral(Fraction(9, 10), Fraction(0)),
     )
     code, _, err = run(capsys, ["integral", *SWAP, "--samples", "1000"])
     assert code == 3
@@ -246,3 +274,12 @@ def test_config_file_drives_commands(capsys, tmp_path):
     code, out, _ = run(capsys, ["eval-g", "--config", str(cfg), "--x", "0"])
     assert code == 0
     assert out.startswith("y=3/7")
+
+
+def test_config_file_with_a_terms_line_exits_2_naming_it(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=geometric q=1/2\nterms=40\n")
+    code, out, err = run(capsys, ["eval-g", "--config", str(cfg), "--x", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {cfg}:2: unknown key 'terms'; accepted keys: p, o, phi, depth, seed, out\n"

@@ -86,4 +86,3 @@ def test_config_file_rejects_garbage(tmp_path):
 def test_defaults_are_complete():
     cfg = build_run_config(None, {})
     assert cfg.depth >= 1
-    assert cfg.terms is None
