@@ -7,8 +7,8 @@
     probdigit selfcheck
 
 `integral` prints the exact closed form, so its `tail_bound` is always 0.
-Every command takes `--config FILE`, whose keys are `configio.CONFIG_KEYS`;
-flags override it.
+Each command takes the flags it reads, and all take `--p`, `--o`, `--phi` and
+`--config FILE`, whose keys are `configio.CONFIG_KEYS`; flags override it.
 
 Exit codes: 0 success, 1 invariant failure (selfcheck), 2 usage or domain
 error, 3 numerical self-check failure (closed form outside the bracket),
@@ -42,42 +42,44 @@ EXIT_SELFCHECK = 3
 EXIT_IO = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # `main` prints it as one `error:` line, without the usage synopsis
+        raise ValueError(message)
+
+
+_SETTING_HELP = {  # the flags named like config keys, and --config
+    "p": "source distribution descriptor", "o": "target distribution descriptor", "phi": "digit map descriptor",
+    "depth": "expansion depth K", "seed": "seed for float-path sampling", "out": "output file (default: stdout)",
+    "config": "key=value config file; flags override it",
+}
+
+
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="probdigit",
         description="Digit expansions driven by probability distributions, and digit-remapped functions of [0,1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--p", help="source distribution descriptor")
-        p.add_argument("--o", help="target distribution descriptor")
-        p.add_argument("--phi", help="digit map descriptor")
-        p.add_argument("--depth", help="expansion depth K")
-        p.add_argument("--seed", help="seed for float-path sampling")
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--config", help="key=value config file; flags override it")
+    def add_command(name: str, summary: str, *settings: str) -> argparse.ArgumentParser:
+        command = sub.add_parser(name, help=summary)
+        for key in ("p", "o", "phi", *settings, "config"):
+            command.add_argument(f"--{key}", help=_SETTING_HELP[key])
+        return command
 
-    p_decode = sub.add_parser("decode", help="digits of a point of [0,1)")
-    add_common(p_decode)
-    p_decode.add_argument("--x", required=True, help="point, as a/b or an exact decimal")
+    for name, summary in (("decode", "digits of a point of [0,1)"), ("eval-g", "remapped value of a point")):
+        p_point = add_command(name, summary, "depth")
+        p_point.add_argument("--x", required=True, help="point, as a/b or an exact decimal")
 
-    p_eval = sub.add_parser("eval-g", help="remapped value of a point")
-    add_common(p_eval)
-    p_eval.add_argument("--x", required=True, help="point, as a/b or an exact decimal")
-
-    p_int = sub.add_parser("integral", help="closed form, rigorous bracket and Monte Carlo")
-    add_common(p_int)
+    p_int = add_command("integral", "closed form, rigorous bracket and Monte Carlo", "seed")
     p_int.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo sample count")
     p_int.add_argument("--bracket-depth", type=int, default=8, help="cylinder partition depth")
 
-    p_sample = sub.add_parser("sample", help="CSV grid of (x, value, log derivative)")
-    add_common(p_sample)
+    p_sample = add_command("sample", "CSV grid of (x, value, log derivative)", "depth", "out")
     p_sample.add_argument("--count", type=int, required=True, help="number of grid points")
 
-    p_check = sub.add_parser("selfcheck", help="run the invariant suite at small scale")
-    add_common(p_check)
+    add_command("selfcheck", "run the invariant suite at small scale", "seed")
     return parser
 
 
@@ -93,13 +95,22 @@ def _remap(cfg: configio.RunConfig) -> DigitRemap:
     return DigitRemap(cfg.source, cfg.target, cfg.digit_map)
 
 
+def _format(what: str, template: str, *values) -> str:
+    """template.format(*values), or DomainError naming `what` when a value
+    has more digits than the interpreter converts to a string."""
+    try:
+        return template.format(*values)
+    except ValueError:  # past the interpreter's limit on int-to-str digits
+        raise DomainError(f"{what} has over {sys.get_int_max_str_digits()} digits to print") from None
+
+
 def _cmd_decode(args: argparse.Namespace) -> int:
     cfg = _config(args)
     x = configio.parse_rational(args.x)
     seq = decode(cfg.source, x, cfg.depth)
     cyl = cylinder(cfg.source, seq)
-    print(" ".join(str(d) for d in seq))
-    print(f"cylinder=[{cyl.lo}, {cyl.hi}) width={cyl.width}")
+    digits = " ".join(str(d) for d in seq)
+    print(_format("the cylinder", "{}\ncylinder=[{}, {}) width={}", digits, cyl.lo, cyl.hi, cyl.width))
     return EXIT_OK
 
 
@@ -107,7 +118,7 @@ def _cmd_eval_g(args: argparse.Namespace) -> int:
     cfg = _config(args)
     x = configio.parse_rational(args.x)
     result = _remap(cfg).apply(x, cfg.depth)
-    print(f"y={result.value} err<={result.error_bound}")
+    print(_format("y", "y={} err<={}", result.value, result.error_bound))
     return EXIT_OK
 
 
@@ -115,11 +126,7 @@ def _cmd_integral(args: argparse.Namespace) -> int:
     cfg = _config(args)
     remap = _remap(cfg)
     closed = closed_form_integral(remap)
-    try:
-        closed_line = f"closed={closed.value} tail_bound={closed.tail_bound}"
-    except ValueError:  # past the interpreter's limit on int-to-str digits
-        digits = sys.get_int_max_str_digits()
-        raise DomainError(f"the closed form has over {digits} digits to print") from None
+    closed_line = _format("the closed form", "closed={} tail_bound={}", closed.value, closed.tail_bound)
     try:
         bracket = integral_bracket(remap, args.bracket_depth)
     except (DomainError, ValueError) as exc:
@@ -265,14 +272,11 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    handler = _HANDLERS[args.command]
-    try:
-        return handler(args)
+        args = _build_parser().parse_args(argv)
+        return _HANDLERS[args.command](args)
+    except SystemExit:  # --help, once printed; `_Parser` raises usage errors as ValueError
+        return EXIT_OK
     except (ProbDigitError, ValueError, ZeroDivisionError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,11 +1,14 @@
 """Plain-text descriptors for distributions, digit maps and run settings.
 
-Grammar (whitespace-tolerant, rationals as "a/b" in lowest terms or exact
-decimal strings):
+A descriptor is a kind word, then the fields of the class it builds
+(`_KINDS`), compact or keyed, the kind word in any case; rendering is compact:
 
-    geometric q=1/2            or the compact form   geometric:1/2
-    mixed head=[1/3,1/5] tail_q=1/2                  mixed:[1/3,1/5]:1/2
-    identity | pairswap | table:[2,3,1]
+    geometric:<q>              geometric q=<q>
+    mixed:[<head>]:<tail_q>    mixed head=[<head>] tail_q=<tail_q>
+    identity   pairswap        table:[<table>]    table table=[<table>]
+
+Whitespace may surround ':' and '=' and fill [..] lists.  Values are "a/b"
+or exact decimal strings; table entries are positive integers.
 
 Config files are key=value lines (# starts a comment) with the same keys the
 command line uses, `CONFIG_KEYS`: p, o, phi, depth, seed, out.  Any other key
@@ -14,6 +17,8 @@ is refused, naming its line.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,97 +27,98 @@ from .core import Geometric, MixedHeadTail, ProbVector
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact conversion of "a/b" or a decimal string like "0.3" (-> 3/10)."""
-    return Fraction(text.strip())
+    """Exact conversion of "a/b" or a decimal string like "0.3" (-> 3/10).
+    An exponent past the interpreter's limit on integer string digits, which
+    already bounds "a/b", is refused: 10**exponent would take seconds."""
+    text = text.strip()
+    num, slash, den = text.partition("/")
+    try:
+        if num.isdecimal() and (den.isdecimal() or not slash):  # a fifth of Fraction(text)'s regex
+            return Fraction(int(num), int(den) if slash else 1)
+        exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
+        limit = sys.get_int_max_str_digits()
+        if exponent.isdecimal() and limit and int(exponent) > limit:
+            raise ValueError(f"{text!r} has over {limit} digits")
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _parse_bracket_list(text: str) -> list[Fraction]:
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"expected a [..] list, got {text!r}")
-    inner = body[1:-1].strip()
-    if not inner:
-        return []
-    return [parse_rational(part) for part in inner.split(",")]
+def _table_entry(text: str) -> int:
+    value = parse_rational(text)
+    if value.denominator != 1 or value.numerator < 1:
+        raise ValueError(f"table entries must be positive integers, got {value}")
+    return value.numerator
 
 
-def _keyed_fields(text: str) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for token in text.split():
-        if "=" not in token:
-            raise ValueError(f"expected key=value, got {token!r}")
-        key, value = token.split("=", 1)
-        fields[key.strip()] = value.strip()
-    return fields
+# kind -> the class it builds and that class's fields, in constructor order
+_KINDS: dict[str, tuple[type, tuple[str, ...]]] = {
+    "geometric": (Geometric, ("q",)),
+    "mixed": (MixedHeadTail, ("head", "tail_q")),
+    "identity": (Identity, ()),
+    "pairswap": (PairSwap, ()),
+    "table": (TablePermutation, ("table",)),
+}
+_LIST_ENTRIES = {"head": parse_rational, "table": _table_entry}  # [..] fields: entry reader
+_KEY = re.compile(r"\b(\w+)\s*=\s*")  # \b keeps a failed match linear in a long word
+
+
+def _field(name: str, text: str):
+    if name not in _LIST_ENTRIES:
+        return parse_rational(text)
+    inner = text[1:-1]
+    return tuple(map(_LIST_ENTRIES[name], inner.split(","))) if inner.strip() else ()
+
+
+def _read(text: str, base: type, noun: str):
+    """The one reader behind `parse_distribution` and `parse_digit_map`."""
+    s = text.strip()
+    for kind, (cls, names) in _KINDS.items():
+        if s[: len(kind)].lower() == kind and issubclass(cls, base):
+            break
+    else:
+        raise ValueError(f"unknown {noun} descriptor {text!r}")
+    rest = s[len(kind) :].strip()
+    if rest.startswith(":"):
+        values = [v.strip() for v in rest[1:].split(":")]
+    else:  # "key=value key=value": split at each key and its '='
+        lead, *pairs = _KEY.split(rest)
+        fields = dict(zip(pairs[::2], pairs[1::2]))  # a repeated key keeps its last value
+        values = None if lead or fields.keys() != set(names) else [fields[n].strip() for n in names]
+    # one value per field, in [..] exactly where the field is a list
+    if values is None or [v[:1] + v[-1:] == "[]" for v in values] != [n in _LIST_ENTRIES for n in names]:
+        shapes = [f"[<{n}>]" if n in _LIST_ENTRIES else f"<{n}>" for n in names]
+        compact = kind + "".join(f":{shape}" for shape in shapes)
+        keyed = kind + "".join(f" {n}={shape}" for n, shape in zip(names, shapes))
+        spellings = f"{compact} or {keyed}" if names else "no fields"
+        raise ValueError(f"{kind} takes {spellings}, got {text!r}")
+    return cls(*map(_field, names, values))
+
+
+def _render(obj, base: type) -> str:
+    for kind, (cls, names) in _KINDS.items():
+        if issubclass(cls, base) and isinstance(obj, cls):
+            fields = ((n, getattr(obj, n)) for n in names)
+            return kind + "".join(
+                f":[{','.join(map(str, v))}]" if n in _LIST_ENTRIES else f":{v}" for n, v in fields
+            )
+    raise TypeError(f"cannot render {type(obj).__name__}")
 
 
 def parse_distribution(text: str) -> ProbVector:
-    s = text.strip()
-    lowered = s.lower()
-    if lowered.startswith("geometric"):
-        rest = s[len("geometric") :].strip()
-        if rest.startswith(":"):
-            return Geometric(parse_rational(rest[1:]))
-        fields = _keyed_fields(rest)
-        if set(fields) != {"q"}:
-            raise ValueError(f"geometric takes exactly q=<rational>, got {text!r}")
-        return Geometric(parse_rational(fields["q"]))
-    if lowered.startswith("mixed"):
-        rest = s[len("mixed") :].strip()
-        if rest.startswith(":"):
-            body = rest[1:]
-            close = body.rindex("]")
-            head = _parse_bracket_list(body[: close + 1])
-            tail = body[close + 1 :]
-            if not tail.startswith(":"):
-                raise ValueError(f"compact mixed form is mixed:[..]:q, got {text!r}")
-            return MixedHeadTail(tuple(head), parse_rational(tail[1:]))
-        fields = _keyed_fields(rest)
-        if set(fields) != {"head", "tail_q"}:
-            raise ValueError(
-                f"mixed takes head=[..] tail_q=<rational>, got {text!r}"
-            )
-        return MixedHeadTail(
-            tuple(_parse_bracket_list(fields["head"])),
-            parse_rational(fields["tail_q"]),
-        )
-    raise ValueError(f"unknown distribution descriptor {text!r}")
+    return _read(text, ProbVector, "distribution")
 
 
 def render_distribution(pv: ProbVector) -> str:
-    if isinstance(pv, Geometric):
-        return f"geometric q={pv.q}"
-    if isinstance(pv, MixedHeadTail):
-        head = ",".join(str(h) for h in pv.head)
-        return f"mixed head=[{head}] tail_q={pv.tail_q}"
-    raise TypeError(f"cannot render {type(pv).__name__}")
+    return _render(pv, ProbVector)
 
 
 def parse_digit_map(text: str) -> DigitBijection:
-    s = text.strip().lower()
-    if s == "identity":
-        return Identity()
-    if s == "pairswap":
-        return PairSwap()
-    if s.startswith("table:"):
-        entries = _parse_bracket_list(s[len("table:") :])
-        table = []
-        for f in entries:
-            if f.denominator != 1 or f < 1:
-                raise ValueError(f"table entries must be positive integers, got {f}")
-            table.append(int(f))
-        return TablePermutation(tuple(table))
-    raise ValueError(f"unknown digit map descriptor {text!r}")
+    return _read(text, DigitBijection, "digit map")
 
 
 def render_digit_map(phi: DigitBijection) -> str:
-    if isinstance(phi, Identity):
-        return "identity"
-    if isinstance(phi, PairSwap):
-        return "pairswap"
-    if isinstance(phi, TablePermutation):
-        return "table:[" + ",".join(str(v) for v in phi.table) + "]"
-    raise TypeError(f"cannot render {type(phi).__name__}")
+    return _render(phi, DigitBijection)
 
 
 CONFIG_KEYS = ("p", "o", "phi", "depth", "seed", "out")
@@ -130,18 +136,13 @@ def read_config_file(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
-                accepted = ", ".join(CONFIG_KEYS)
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; accepted keys: {accepted}")
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; accepted keys: {', '.join(CONFIG_KEYS)}")
             out[key] = value
     return out
 
 
 DEFAULTS: dict[str, str] = {
-    "p": "geometric q=1/2",
-    "o": "geometric q=2/3",
-    "phi": "pairswap",
-    "depth": "16",
-    "seed": "1729",
+    "p": "geometric q=1/2", "o": "geometric q=2/3", "phi": "pairswap", "depth": "16", "seed": "1729"
 }
 
 
@@ -162,9 +163,7 @@ def build_run_config(
     values = dict(DEFAULTS)
     if config_path:
         values.update(read_config_file(config_path))
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            values[key] = value
+    values.update((key, value) for key, value in (overrides or {}).items() if value is not None)
     depth = int(values["depth"])
     if depth < 1:
         raise ValueError("depth must be at least 1")

@@ -172,36 +172,30 @@ def _digit_sums(remap: DigitRemap, count: int | None = None) -> tuple[Fraction, 
     """(sum prefix_target(phi(j)) p_j, sum p_target(phi(j)) p_j) over the
     digits j = 1..count, or over every digit when count is None.
 
-    Digits before the `_eventual_classes` start are summed term by term.
-    From there on, the K digits j0, j0 + period, ... up to count of one
-    residue class, with m = phi(j0), o_m the target mass and
-    tail_target(m) = 1 - prefix_target(m), are two finite geometric series:
-    the class adds p_j0 o_m (1 - (qt)^K) / (1 - qt) to the mass sum and
-    p_j0 (1 - q^K) / (1 - q) - p_j0 tail_target(m) (1 - (qt)^K) / (1 - qt)
-    to the prefix sum.  count None is K infinite, where both powers vanish:
-    the exact sums.
+    With o_m the target mass and tail_target(m) = 1 - prefix_target(m), the
+    prefix sum is the source mass of the digits summed, prefix(count + 1) or
+    1, minus sum tail_target(phi(j)) p_j.  From the `_eventual_classes` start
+    on, p_j o_phi(j) and p_j tail_target(phi(j)) both scale by qt along a
+    residue class, so the K digits j0, j0 + period, ... up to count of one
+    class add p_j0 o_m (1 - (qt)^K) / (1 - qt) and
+    p_j0 tail_target(m) (1 - (qt)^K) / (1 - qt), with m = phi(j0); count None
+    is K infinite, where the power vanishes.  Each digit before the start is
+    a class of its own, K = 1.
     """
     src, tgt, phi = remap.source, remap.target, remap.digit_map
     start, period, q, t = _eventual_classes(remap)
     qt = q * t
-    end = start + period if count is None else count + 1  # past the last digit summed directly
-    s_pref = s_mass = ZERO
-    for j in range(1, min(end, start)):
-        m = phi.apply(j)
+    end = start + period if count is None else min(count + 1, start + period)
+    s_tail = s_mass = ZERO
+    for j in range(1, end):
         pj = src.p(j)
-        s_pref += tgt.prefix(m) * pj
-        s_mass += tgt.p(m) * pj
-    for j in range(start, min(end, start + period)):
-        if count is None:
-            geo_q, geo_qt = ONE / (ONE - q), ONE / (ONE - qt)
-        else:
-            k = (count - j) // period + 1
-            geo_q, geo_qt = (ONE - q**k) / (ONE - q), (ONE - qt**k) / (ONE - qt)
+        if j >= start:  # times the K terms 1, qt, ..., (qt)^(K-1) of the class of j
+            pj *= (ONE if count is None else ONE - qt ** ((count - j) // period + 1)) / (ONE - qt)
         m = phi.apply(j)
-        pj = src.p(j)
-        s_mass += pj * tgt.p(m) * geo_qt
-        s_pref += pj * (geo_q - tgt.tail_mass(m) * geo_qt)
-    return s_pref, s_mass
+        s_mass += pj * tgt.p(m)
+        s_tail += pj * tgt.tail_mass(m)
+    summed = ONE if count is None else src.prefix(count + 1)
+    return summed - s_tail, s_mass
 
 
 _TOLERANCE = Fraction(1, 10**12)  # source tail mass a truncated closed form may leave out

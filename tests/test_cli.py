@@ -12,6 +12,9 @@ IDENT = ["--p", "geometric:1/2", "--o", "geometric:1/2", "--phi", "identity"]
 HUGE_DENOMINATORS = "mixed:[" + ",".join(f"1/{10**90 + 2 * k + 1}" for k in range(60)) + "]:1/2"
 
 
+MIXED_SPELLINGS = "mixed:[<head>]:<tail_q> or mixed head=[<head>] tail_q=<tail_q>"
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -80,8 +83,11 @@ def test_retired_terms_flag_is_an_unknown_flag(capsys):
         (["decode", "--x", "0", "--depth", "0"], "depth must be at least 1"),
         (["sample", "--count", "0"], "count must be at least 1"),
         (["integral", "--bracket-depth", "0"], "--bracket-depth: depth must be at least 1"),
-        (["decode", "--x", "0", "--p", "geometric q"], "expected key=value, got 'q'"),
-        (["decode", "--x", "0", "--p", "mixed:[1/3]"], "compact mixed form is mixed:[..]:q, got 'mixed:[1/3]'"),
+        (["decode", "--x", "0", "--p", "geometric q"], "geometric takes geometric:<q> or geometric q=<q>, got 'geometric q'"),
+        (
+            ["decode", "--x", "0", "--p", "mixed:[1/3]"],
+            "mixed takes mixed:[<head>]:<tail_q> or mixed head=[<head>] tail_q=<tail_q>, got 'mixed:[1/3]'",
+        ),
         (["decode", "--x", "0", "--phi", "table:[]"], "permutation table must not be empty"),
     ],
     ids=["depth-0", "count-0", "bracket-depth-0", "geometric-without-q", "mixed-without-tail", "empty-table"],
@@ -91,6 +97,49 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+UNREAD_FLAGS = [
+    ["decode", "--x", "0", "--out", "F"],
+    ["decode", "--x", "0", "--seed", "1"],
+    ["eval-g", "--x", "0", "--seed", "1"],
+    ["integral", "--depth", "3"],
+    ["integral", "--out", "F"],
+    ["sample", "--count", "2", "--seed", "1"],
+    ["selfcheck", "--depth", "3"],
+    ["selfcheck", "--out", "F"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["integral", "--terms", "5"], "unrecognized arguments: --terms 5"),
+        (["decode", "--x"], "argument --x: expected one argument"),
+        ([], "the following arguments are required: command"),
+        (["integral", "--samples", "many"], "argument --samples: invalid int value: 'many'"),
+        (["decode", "--x", "1e-10000000", "--depth", "2"], "'1e-10000000' has over 4300 digits"),
+        (["decode", "--x", "0", "--p", "mixed:1/2"], f"mixed takes {MIXED_SPELLINGS}, got 'mixed:1/2'"),
+        # the cylinder and y of 1/3 have over 4300 digits at these depths: refused before any line prints
+        (["decode", "--x", "1/3", "--depth", "8000"], "the cylinder has over 4300 digits to print"),
+        (["eval-g", "--x", "1/3", "--depth", "20000"], "y has over 4300 digits to print"),
+        # each command takes only the flags it reads
+        *((argv, f"unrecognized arguments: {' '.join(argv[-2:])}") for argv in UNREAD_FLAGS),
+    ],
+)
+def test_refusals_print_one_error_line_and_nothing_else(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["decode", "--help"], ["sample", "--help"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    assert out.startswith("usage: probdigit")
+    assert err == ""
 
 
 def test_decode_refuses_an_astronomical_digit_promptly(run_bounded):
