@@ -48,8 +48,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 _SETTING_HELP = {  # the flags named like config keys, and --config
-    "p": "source distribution descriptor", "o": "target distribution descriptor", "phi": "digit map descriptor",
-    "depth": "expansion depth K", "seed": "seed for float-path sampling", "out": "output file (default: stdout)",
+    "p": "source distribution descriptor",
+    "o": "target distribution descriptor",
+    "phi": "digit map descriptor",
+    "depth": "expansion depth K",
+    "seed": "seed for float-path sampling",
+    "out": "output file (default: stdout)",
     "config": "key=value config file; flags override it",
 }
 
@@ -83,12 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict[str, str | None]:
-    return {k: getattr(args, k, None) for k in configio.CONFIG_KEYS}
-
-
 def _config(args: argparse.Namespace) -> configio.RunConfig:
-    return configio.build_run_config(getattr(args, "config", None), _overrides(args))
+    overrides = {k: getattr(args, k, None) for k in configio.CONFIG_KEYS}  # each command has some
+    return configio.build_run_config(args.config, overrides)
 
 
 def _remap(cfg: configio.RunConfig) -> DigitRemap:
@@ -275,8 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
-    except SystemExit:  # --help, once printed; `_Parser` raises usage errors as ValueError
-        return EXIT_OK
+    except SystemExit as exc:  # --help, once printed; `_Parser` raises usage errors as ValueError
+        return EXIT_USAGE if exc.code else EXIT_OK
     except (ProbDigitError, ValueError, ZeroDivisionError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,14 +31,11 @@ def parse_rational(text: str) -> Fraction:
     An exponent past the interpreter's limit on integer string digits, which
     already bounds "a/b", is refused: 10**exponent would take seconds."""
     text = text.strip()
-    num, slash, den = text.partition("/")
+    exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
+    if exponent.isdecimal() and limit and int(exponent) > limit:
+        raise ValueError(f"{text!r} has over {limit} digits")
     try:
-        if num.isdecimal() and (den.isdecimal() or not slash):  # a fifth of Fraction(text)'s regex
-            return Fraction(int(num), int(den) if slash else 1)
-        exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
-        limit = sys.get_int_max_str_digits()
-        if exponent.isdecimal() and limit and int(exponent) > limit:
-            raise ValueError(f"{text!r} has over {limit} digits")
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
@@ -59,15 +56,16 @@ _KINDS: dict[str, tuple[type, tuple[str, ...]]] = {
     "pairswap": (PairSwap, ()),
     "table": (TablePermutation, ("table",)),
 }
-_LIST_ENTRIES = {"head": parse_rational, "table": _table_entry}  # [..] fields: entry reader
+_LISTS = {"head", "table"}  # fields written as [..] lists
 _KEY = re.compile(r"\b(\w+)\s*=\s*")  # \b keeps a failed match linear in a long word
 
 
 def _field(name: str, text: str):
-    if name not in _LIST_ENTRIES:
+    if name not in _LISTS:
         return parse_rational(text)
+    entry = _table_entry if name == "table" else parse_rational
     inner = text[1:-1]
-    return tuple(map(_LIST_ENTRIES[name], inner.split(","))) if inner.strip() else ()
+    return tuple(map(entry, inner.split(","))) if inner.strip() else ()
 
 
 def _read(text: str, base: type, noun: str):
@@ -86,8 +84,8 @@ def _read(text: str, base: type, noun: str):
         fields = dict(zip(pairs[::2], pairs[1::2]))  # a repeated key keeps its last value
         values = None if lead or fields.keys() != set(names) else [fields[n].strip() for n in names]
     # one value per field, in [..] exactly where the field is a list
-    if values is None or [v[:1] + v[-1:] == "[]" for v in values] != [n in _LIST_ENTRIES for n in names]:
-        shapes = [f"[<{n}>]" if n in _LIST_ENTRIES else f"<{n}>" for n in names]
+    if values is None or [v[:1] + v[-1:] == "[]" for v in values] != [n in _LISTS for n in names]:
+        shapes = [f"[<{n}>]" if n in _LISTS else f"<{n}>" for n in names]
         compact = kind + "".join(f":{shape}" for shape in shapes)
         keyed = kind + "".join(f" {n}={shape}" for n, shape in zip(names, shapes))
         spellings = f"{compact} or {keyed}" if names else "no fields"
@@ -100,7 +98,7 @@ def _render(obj, base: type) -> str:
         if issubclass(cls, base) and isinstance(obj, cls):
             fields = ((n, getattr(obj, n)) for n in names)
             return kind + "".join(
-                f":[{','.join(map(str, v))}]" if n in _LIST_ENTRIES else f":{v}" for n, v in fields
+                f":[{','.join(map(str, v))}]" if n in _LISTS else f":{v}" for n, v in fields
             )
     raise TypeError(f"cannot render {type(obj).__name__}")
 
@@ -136,13 +134,18 @@ def read_config_file(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; accepted keys: {', '.join(CONFIG_KEYS)}")
+                accepted = ", ".join(CONFIG_KEYS)
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; accepted keys: {accepted}")
             out[key] = value
     return out
 
 
 DEFAULTS: dict[str, str] = {
-    "p": "geometric q=1/2", "o": "geometric q=2/3", "phi": "pairswap", "depth": "16", "seed": "1729"
+    "p": "geometric q=1/2",
+    "o": "geometric q=2/3",
+    "phi": "pairswap",
+    "depth": "16",
+    "seed": "1729",
 }
 
 
@@ -163,7 +166,9 @@ def build_run_config(
     values = dict(DEFAULTS)
     if config_path:
         values.update(read_config_file(config_path))
-    values.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            values[key] = value
     depth = int(values["depth"])
     if depth < 1:
         raise ValueError("depth must be at least 1")

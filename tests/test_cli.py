@@ -142,6 +142,16 @@ def test_help_exits_0(capsys, argv):
     assert err == ""
 
 
+def test_a_nonzero_system_exit_is_not_success(capsys, monkeypatch):
+    from probdigit import cli
+
+    def bail(args):
+        raise SystemExit(1)
+
+    monkeypatch.setitem(cli._HANDLERS, "selfcheck", bail)
+    assert main(["selfcheck"]) == 2
+
+
 def test_decode_refuses_an_astronomical_digit_promptly(run_bounded):
     q = "99999999999999999999/100000000000000000000"
     done = run_bounded(

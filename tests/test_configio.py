@@ -158,6 +158,25 @@ def test_long_malformed_descriptors_are_refused_promptly(text):
     assert time.perf_counter() - start < 0.5
 
 
+def test_rationals_parse_where_the_digit_limit_is_unknown(monkeypatch):
+    # sys.get_int_max_str_digits arrived in Python 3.10.7; without it there is no limit to apply
+    monkeypatch.delattr("sys.get_int_max_str_digits")
+    assert parse_rational("0.3") == F(3, 10)
+    assert parse_rational("-2.5e-3") == F(-1, 400)
+    assert parse_distribution("geometric:0.25") == Geometric(F(1, 4))
+
+
+def test_every_value_goes_through_parse_rational(monkeypatch):
+    # a wrapper over the module attribute sees each value, list entries included
+    from probdigit import configio
+
+    seen = []
+    original = configio.parse_rational
+    monkeypatch.setattr(configio, "parse_rational", lambda text: seen.append(text) or original(text))
+    parse_distribution("mixed:[1/3, 1/5]:1/2")
+    assert seen == ["1/3", " 1/5", "1/2"]
+
+
 def test_zero_denominators_are_value_errors():
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")
