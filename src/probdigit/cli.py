@@ -144,7 +144,7 @@ def _cmd_integral(args: argparse.Namespace) -> int:
         f"monte_carlo={mc.mean!r} sigma={mc.std_error!r}"
         f" samples={mc.samples} seed={mc.seed}"
     )
-    if closed.hi < bracket.lower or closed.lo > bracket.upper:
+    if not bracket.contains(closed.value):
         print("self-check failed: closed form lies outside the bracket", file=sys.stderr)
         return EXIT_SELFCHECK
     return EXIT_OK
@@ -229,10 +229,11 @@ def _selfcheck_rows(cfg: configio.RunConfig):
         closed = closed_form_integral(remap)
         bracket = integral_bracket(remap, 8)
         assert bracket.contains(closed.value), "closed form escaped the bracket"
-        return (
-            f"closed={closed.value}"
-            f" bracket=[{float(bracket.lower)!r}, {float(bracket.upper)!r}]"
-        )
+        try:
+            closed_note = f"closed={closed.value}"
+        except ValueError:  # past the interpreter's limit on int-to-str digits
+            closed_note = f"closed≈{float(closed.value)!r}"
+        return f"{closed_note} bracket=[{float(bracket.lower)!r}, {float(bracket.upper)!r}]"
 
     return [
         ("digit-map-bijectivity", check_bijectivity),

@@ -299,22 +299,21 @@ class MixedHeadTail(ProbVector):
         head = tuple(as_fraction(h) for h in self.head)
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail_q", as_fraction(self.tail_q))
+        cum = [ZERO]
         for h in head:
             if not (ZERO < h < ONE):
                 raise InvalidDistribution(
                     f"head masses must lie strictly inside (0, 1), got {h}"
                 )
-        if sum(head, ZERO) >= ONE:
+            cum.append(cum[-1] + h)
+        if cum[-1] >= ONE:
             raise InvalidDistribution(
-                f"head masses must sum below 1, got {sum(head, ZERO)}"
+                f"head masses must sum below 1, got {cum[-1]}"
             )
         if not (ZERO < self.tail_q < ONE):
             raise InvalidDistribution(
                 f"tail ratio must lie strictly inside (0, 1), got {self.tail_q}"
             )
-        cum = [ZERO]
-        for h in head:
-            cum.append(cum[-1] + h)
         object.__setattr__(self, "_cum", tuple(cum))
         object.__setattr__(self, "_leftover", ONE - cum[-1])
 
@@ -453,23 +452,17 @@ def constant_point(pv: ProbVector, digit: int) -> Fraction:
 
 def evaluate(pv: ProbVector, seq: DigitSeq) -> Evaluation:
     """Exact value of a digit sequence, plus the width of its prefix cylinder."""
-    digits = seq.digits
-    if not digits:
-        return Evaluation(constant_point(pv, seq.tail), ONE)
     entry = pv._int_entry
-    # value so far num/den, cylinder width so far mass/den
-    num, mass, den = entry(digits[0])
-    for n in digits[1:]:
+    # value so far num/den, cylinder width so far mass/den, from the empty prefix
+    num, mass, den = 0, 1, 1
+    for n in seq.digits:
         a, c, e = entry(n)
         num = num * e + a * mass
         mass *= c
         den *= e
-    width = Fraction(mass, den)
-    tail = constant_point(pv, seq.tail)
-    if not tail:
-        return Evaluation(Fraction(num, den), width)
+    tail = constant_point(pv, seq.tail)  # the continuation fills its share of the cylinder
     value = Fraction(num * tail.denominator + mass * tail.numerator, den * tail.denominator)
-    return Evaluation(value, width)
+    return Evaluation(value, Fraction(mass, den))
 
 
 def decode(pv: ProbVector, x: Rational, depth: int) -> DigitSeq:

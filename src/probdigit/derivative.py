@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -105,22 +106,19 @@ def classify_point(remap: DigitRemap, seq: DigitSeq, horizon: int) -> PointClass
     if not 1 <= horizon <= len(seq):
         raise ValueError(f"horizon must lie in 1..{len(seq)}, got {horizon}")
     window_start = horizon // 2 + 1
-    tge = tle = tne = wge = wle = wne = 0
-    seen: dict[int, tuple[bool, bool, bool]] = {}  # digit -> (>=, <=, !=); digits repeat
-    for k in range(1, horizon + 1):
-        n = seq[k - 1]
-        if n not in seen:
-            image_mass = remap.target.p(remap.digit_map.apply(n))
-            source_mass = remap.source.p(n)
-            seen[n] = (image_mass >= source_mass, image_mass <= source_mass, image_mass != source_mass)
-        ge, le, ne = seen[n]
-        tge += ge
-        tle += le
-        tne += ne
-        if k >= window_start:
-            wge += ge
-            wle += le
-            wne += ne
+    digits = seq.digits[:horizon]
+    sign: dict[int, int] = {}  # digit -> sign of image mass minus source mass; digits repeat
+    for n in set(digits):
+        image_mass, source_mass = remap.target.p(remap.digit_map.apply(n)), remap.source.p(n)
+        sign[n] = (image_mass > source_mass) - (image_mass < source_mass)
+    signs = [sign[n] for n in digits]
+
+    def tally(part: list[int]) -> tuple[int, int, int]:  # positions with >=, <=, !=
+        count = Counter(part)
+        return count[1] + count[0], count[-1] + count[0], count[1] + count[-1]
+
+    wge, wle, wne = tally(signs[window_start - 1 :])
+    tge, tle, tne = tally(signs)
     if wge == 0:
         verdict = Verdict.SINGULAR_INDICATED
     elif wle == 0:

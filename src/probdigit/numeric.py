@@ -186,10 +186,10 @@ def monte_carlo_integral(
     remap: DigitRemap,
     samples: int = 1_000_000,
     seed: int = 1729,
-    depth: int = 48,
 ) -> MonteCarloEstimate:
     """Plain Monte Carlo estimate of the integral over [0,1), float path only.
 
+    Each sample reads at most `remap_values`' default depth of source digits.
     At least two samples are needed for the standard error.
     """
     if samples < 2:
@@ -198,7 +198,7 @@ def monte_carlo_integral(
     ys = np.empty(samples)  # allocated up front, so an impossible size fails at once
     for start in range(0, samples, _CHUNK):
         stop = min(start + _CHUNK, samples)
-        ys[start:stop] = remap_values(remap, rng.random(stop - start), depth)
+        ys[start:stop] = remap_values(remap, rng.random(stop - start))
     return MonteCarloEstimate(
         float(ys.mean()), float(ys.std(ddof=1) / math.sqrt(samples)), samples, seed
     )

@@ -24,8 +24,9 @@ is itself summed in closed form.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -301,28 +302,29 @@ class OrderWitnesses:
 def monotonicity_witnesses(remap: DigitRemap) -> OrderWitnesses:
     """Search one-digit prefix points for evidence that the remap is not monotone.
 
-    Evaluates the exact image of every point named by a single digit
-    1..start+period, with `start` and `period` from the digit map's eventual
-    structure, then looks for a pair that rises and a pair that falls.  The
-    first digit orders the image cylinders, so these points rise and fall
-    exactly as the digit map does.  That finds both for any non-identity map:
-    digits `start` and `start + period` share an offset and so rise, and a
-    non-identity map has an inversion among its first `start + period`
-    digits (a table permutes its head 1..start-1, the pair swap inverts 1
-    and 2).  It evaluates start + period points and compares at most every
-    pair of them.
+    The points named by a single digit 1..start+period, with `start` and
+    `period` from the digit map's eventual structure, rise and fall exactly
+    as the digit map does: the image of digit d lies in the target cylinder
+    of phi(d), and those cylinders are ordered by phi(d).  So the first
+    rising and the first falling pair, in `itertools.combinations` order,
+    are read off the integers phi(d), and only their points are evaluated.
+    That finds both for any non-identity map: digits `start` and
+    `start + period` share an offset and so rise, and a non-identity map has
+    an inversion among its first `start + period` digits (a table permutes
+    its head 1..start-1, the pair swap inverts 1 and 2).
     """
     ev = remap.digit_map.eventual_structure()
-    points = []
-    for digit in range(1, ev.start + ev.period + 1):
+    images = [(digit, remap.digit_map.apply(digit)) for digit in range(1, ev.start + ev.period + 1)]
+
+    @cache  # a digit may sit in both pairs
+    def point(digit: int) -> tuple[Fraction, Fraction]:
         seq = DigitSeq((digit,))
-        points.append((evaluate(remap.source, seq).value, remap.point_value(seq)))
-    increasing = decreasing = None
-    for a, b in itertools.combinations(points, 2):
-        if a[1] < b[1]:
-            increasing = increasing or (a, b)
-        elif a[1] > b[1]:
-            decreasing = decreasing or (a, b)
-        if increasing and decreasing:
-            break
-    return OrderWitnesses(increasing, decreasing)
+        return evaluate(remap.source, seq).value, remap.point_value(seq)
+
+    def first_pair(order):
+        for (a, phi_a), (b, phi_b) in itertools.combinations(images, 2):
+            if order(phi_a, phi_b):
+                return point(a), point(b)
+        return None
+
+    return OrderWitnesses(first_pair(operator.lt), first_pair(operator.gt))

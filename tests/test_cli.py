@@ -1,10 +1,14 @@
 """End-to-end exercises of the command-line surface and its exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probdigit.cli import main
+from test_configio import descriptors
 
 SWAP = ["--p", "geometric:1/2", "--o", "geometric:2/3", "--phi", "pairswap"]
 IDENT = ["--p", "geometric:1/2", "--o", "geometric:1/2", "--phi", "identity"]
@@ -313,6 +317,16 @@ def test_selfcheck_identity_reports_half(capsys):
     assert "skipped (identity digit map)" in out
 
 
+def test_selfcheck_summarizes_a_closed_form_too_long_to_print(run_bounded):
+    done = run_bounded("-m", "probdigit.cli", "selfcheck", "--p", HUGE_DENOMINATORS)
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()
+    assert len(rows) == 8 and all(row.startswith("ok    ") for row in rows[:7])
+    assert rows[6].startswith("ok    integral-bracket         closed≈0.99999999998")
+    assert rows[7] == "selfcheck: all invariants hold"
+    assert done.stderr == ""
+
+
 def test_selfcheck_corrupt_table_exits_1(capsys):
     code, out, err = run(capsys, ["selfcheck", "--phi", "table:[2,2,1]"])
     assert code == 1
@@ -342,3 +356,53 @@ def test_config_file_with_a_terms_line_exits_2_naming_it(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"error: {cfg}:2: unknown key 'terms'; accepted keys: p, o, phi, depth, seed, out\n"
+
+
+junk = st.text(max_size=8)
+
+
+def flag_values(largest):
+    """A numeric flag's value: mostly an integer up to `largest`, 0 and
+    negatives included, else junk text."""
+    number = st.integers(-3, largest).map(str)
+    return st.one_of(number, number, junk)
+
+
+points = st.one_of(st.sampled_from(("0", "3/10", "0.3", "1", "-1/2", "1/0", "1e-5")), st.fractions(0, 1).map(str), junk)
+DESCRIPTOR_FLAGS = {"--p": ("geometric", "mixed"), "--o": ("geometric", "mixed"), "--phi": ("identity", "pairswap", "table")}
+COMMAND_FLAGS = {  # the first flag of each command is always given
+    "decode": {"--x": points, "--depth": flag_values(64)},
+    "eval-g": {"--x": points, "--depth": flag_values(64)},
+    "integral": {"--samples": flag_values(2000), "--bracket-depth": flag_values(64), "--seed": flag_values(2**40)},
+    "sample": {"--count": flag_values(200), "--depth": flag_values(64)},
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A decode, eval-g, integral or sample command line, each flag present
+    with probability 1/2, descriptors of the flag's kinds drawn like the
+    descriptor fuzz test's, or now and then junk."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    for flag, kinds in DESCRIPTOR_FLAGS.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(st.one_of(descriptors(kinds), descriptors(kinds), junk))]
+    for i, (flag, values) in enumerate(COMMAND_FLAGS[command].items()):
+        if i == 0 or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(command_lines())
+def test_command_fuzz_succeeds_or_exits_2_with_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (code, err)
+    assert "Traceback" not in err and "nan" not in out
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err

@@ -1,10 +1,15 @@
-"""The exact series, the brackets and the log-ratio law over randomly drawn
-configurations: geometric and mixed source and target families, with the
-identity, the pair swap or a random permutation table as the digit map.
+"""The exact series, the brackets, the log-ratio law, the order witnesses
+and the point classifier over randomly drawn configurations: geometric and
+mixed source and target families, with the identity, the pair swap or a
+random permutation table as the digit map.
 
 The library sums every series per residue class in closed form; the oracles
-here sum one digit, or one bracket level, at a time."""
+here sum one digit, or one bracket level, at a time.  It reads the order
+witnesses off the digit map and classifies a point from one sign per digit;
+the oracles evaluate and compare every one-digit point and keep three
+counters per position."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,11 +23,16 @@ from probdigit import (
     MixedHeadTail,
     PairSwap,
     TablePermutation,
+    DigitSeq,
     closed_form_integral,
+    decode,
+    evaluate,
     expected_log_ratio,
     integral_bracket,
+    monotonicity_witnesses,
 )
 from probdigit.core import DIGIT_CAP, log_rational
+from probdigit.derivative import PointClassification, Verdict, classify_point
 from probdigit.remap import _digit_sums, _eventual_classes, _terms_for_tolerance
 
 F = Fraction
@@ -60,6 +70,11 @@ def digit_maps(largest_table):
 
 remaps = st.builds(DigitRemap, families(), families(), digit_maps(12))
 wide_remaps = st.builds(DigitRemap, families(), families(), digit_maps(30))
+# every family, or one with the slow tail ratio 8/9, whose digits run long
+slow_or_any = st.one_of(
+    families(), st.just(Geometric(F(8, 9))), st.just(MixedHeadTail((F(1, 3), F(1, 4)), F(8, 9)))
+)
+slow_remaps = st.builds(DigitRemap, slow_or_any, slow_or_any, digit_maps(12))
 
 
 def partial_sums(remap, count):
@@ -147,3 +162,71 @@ def test_log_ratio_law_matches_a_direct_sum(remap):
     got = expected_log_ratio(remap)
     assert abs(got.value - mean) <= 1e-12 * scale + 1e-25
     assert abs(got.std**2 - var) <= 1e-12 * square + 1e-25
+
+
+def all_pairs_witnesses(remap):
+    """Evaluate every point named by one digit 1..start+period, then take the
+    first rising and the first falling pair of images over all pairs."""
+    ev = remap.digit_map.eventual_structure()
+    points = []
+    for digit in range(1, ev.start + ev.period + 1):
+        seq = DigitSeq((digit,))
+        points.append((evaluate(remap.source, seq).value, remap.point_value(seq)))
+    increasing = decreasing = None
+    for a, b in itertools.combinations(points, 2):
+        if a[1] < b[1]:
+            increasing = increasing or (a, b)
+        elif a[1] > b[1]:
+            decreasing = decreasing or (a, b)
+    return increasing, decreasing
+
+
+def three_counter_classification(remap, seq, horizon):
+    """Compare image and source mass at every position, counting >=, <= and
+    != over the whole horizon and over the window (horizon/2, horizon]."""
+    window_start = horizon // 2 + 1
+    total, window = [0, 0, 0], [0, 0, 0]
+    for k in range(1, horizon + 1):
+        n = seq[k - 1]
+        image_mass = remap.target.p(remap.digit_map.apply(n))
+        source_mass = remap.source.p(n)
+        marks = (image_mass >= source_mass, image_mass <= source_mass, image_mass != source_mass)
+        for i, mark in enumerate(marks):
+            total[i] += mark
+            if k >= window_start:
+                window[i] += mark
+    if window[0] == 0:
+        verdict = Verdict.SINGULAR_INDICATED
+    elif window[1] == 0:
+        verdict = Verdict.INFINITE_DERIVATIVE_INDICATED
+    elif window[2] == 0:
+        verdict = Verdict.FINITE_DERIVATIVE_INDICATED
+    else:
+        verdict = Verdict.INCONCLUSIVE
+    return PointClassification(verdict, horizon, window_start, *window, *total)
+
+
+@given(slow_remaps)
+@settings(deadline=None, max_examples=150)
+def test_order_witnesses_equal_the_all_pairs_search(remap):
+    found = monotonicity_witnesses(remap)
+    assert (found.increasing, found.decreasing) == all_pairs_witnesses(remap)
+    assert found.increasing is not None
+    assert (found.decreasing is None) == remap.digit_map.is_identity()
+
+
+# small digits repeat, so most positions share a sign with another; large ones
+# reach past the memoized head
+digit_strings = st.lists(st.one_of(st.integers(1, 6), st.integers(1, 200)), min_size=1, max_size=80)
+points = st.fractions(0, 1, max_denominator=10**6).filter(lambda x: x < 1)
+
+
+@given(slow_remaps, st.data())
+@settings(deadline=None, max_examples=200)
+def test_classification_equals_the_three_counter_classifier(remap, data):
+    if data.draw(st.booleans()):
+        seq = DigitSeq(tuple(data.draw(digit_strings)))
+    else:  # source-typical digits: the expansion of a drawn point
+        seq = decode(remap.source, data.draw(points), data.draw(st.integers(1, 64)))
+    horizon = data.draw(st.integers(1, len(seq)))
+    assert classify_point(remap, seq, horizon) == three_counter_classification(remap, seq, horizon)
