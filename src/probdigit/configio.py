@@ -159,6 +159,19 @@ class RunConfig:
     out: str | None
 
 
+def _at_least(values: dict[str, str], key: str, least: int) -> int:
+    """values[key] as an int of at least `least` (0 or 1), or a refusal naming its flag."""
+    try:
+        value = int(values[key])
+    except ValueError:
+        pass
+    else:
+        if value >= least:
+            return value
+    kind = "positive" if least else "non-negative"
+    raise ValueError(f"--{key}: expected a {kind} integer, got {values[key]!r}")
+
+
 def build_run_config(
     config_path: str | None = None, overrides: dict[str, str | None] | None = None
 ) -> RunConfig:
@@ -169,14 +182,11 @@ def build_run_config(
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = value
-    depth = int(values["depth"])
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
     return RunConfig(
         source=parse_distribution(values["p"]),
         target=parse_distribution(values["o"]),
         digit_map=parse_digit_map(values["phi"]),
-        depth=depth,
-        seed=int(values["seed"]),
+        depth=_at_least(values, "depth", 1),
+        seed=_at_least(values, "seed", 0),
         out=values.get("out"),
     )

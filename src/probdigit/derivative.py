@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import DigitSeq, ONE, ZERO, log_rational
+from .core import DigitSeq, ONE, log_rational
 from .remap import DigitRemap, _eventual_classes
 
 
@@ -134,8 +134,9 @@ def classify_point(remap: DigitRemap, seq: DigitSeq, horizon: int) -> PointClass
 
 class LogRatioDiagnostic(NamedTuple):
     """Mean and standard deviation of ln(target.p(phi(j)) / source.p(j)) for
-    j drawn from the source weights.  `value` is <= 0 (Gibbs' inequality),
-    and exactly 0.0 when every ratio is 1."""
+    j drawn from the source weights, read off one (weight, mean, spread) per
+    residue class.  `value` is <= 0 (Gibbs' inequality), and exactly 0.0,
+    with `std` 0.0, when every ratio is 1."""
 
     value: float
     std: float
@@ -148,46 +149,34 @@ def expected_log_ratio(remap: DigitRemap) -> LogRatioDiagnostic:
     source-typical digit sequences (the inverse remap then blows up); zero
     means the two sides assign identical mass to every rewritten digit.
 
-    Digits before the `_eventual_classes` start are taken one by one.  From
+    Each digit before the `_eventual_classes` start is a class of one.  From
     there on the digits j0 + k * period of a residue class have weight
-    p_j0 * q**k and log ratio ln(ratio_j0) + k * ln(step), with step = t / q,
-    so the exact moments p_j0 * sum_k k**i * q**k (i = 0, 1, 2) sum the
-    whole class.
+    p_j0 * q**k and log ratio level + k * slope, with level = ln(ratio_j0)
+    and slope = ln(t / q), so the class index k is geometric and the class
+    has weight p_j0 / (1 - q), mean level + slope * q / (1 - q) (summed
+    exactly from the float logs, then rounded once) and spread
+    |slope| * sqrt(q) / (1 - q).  The mean is the weighted sum of the class
+    means; the std is one hypot over each class's offset from it and its
+    spread.  A slope of exactly 0 keeps every class constant, however near 1
+    q lies.
 
-    Only the logs and the final sums are floats, so the mean is accurate to
-    about 1e-16 of sum p_j |ln ratio_j|, not of the mean itself: for
-    Geometric(1 - 10**-20) onto itself under the pair swap it reads -1e-40
-    against the exact -5e-41.
+    Weights, class means and their products are rounded floats, so the mean
+    is accurate to about 1e-16 of sum p_j |ln ratio_j|, not of the mean
+    itself: for Geometric(1 - 10**-20) onto itself under the pair swap it
+    reads -1e-40 against the exact -5e-41.
     """
-    src = remap.source
     start, period, q, t = _eventual_classes(remap)
-    step = t / q
-    # (m0, m1, m2, ratio at k = 0) per class; a digit before `start` is a class of one
-    classes = [(src.p(j), ZERO, ZERO, derivative_ratio(remap, j)) for j in range(1, start)]
-    for j0 in range(start, start + period):
-        m0 = src.p(j0) / (ONE - q)
-        # a step of exactly 1 leaves the log ratio constant on the class, so the
-        # higher moments never count (and may be too large for a float)
-        m1 = m0 * q / (ONE - q) if step != ONE else ZERO
-        classes.append((m0, m1, m1 * (ONE + q) / (ONE - q), derivative_ratio(remap, j0)))
-    slope = log_rational(step)
-    # near q = 1, m2 (about 1 / (1 - q)**2) and the squared centred logs can
-    # exceed a float while mean and std fit: sum with the logs and m1 scaled by
-    # 2**-shift and m2 by 4**-shift, which leaves m2 near 1, then scale back
-    bits = max(m2.numerator.bit_length() - m2.denominator.bit_length() for *_, m2, _ in classes)
-    shift = max(0, bits // 2)
-    moments = [
-        (
-            float(m0),
-            m1.numerator / (m1.denominator << shift),  # int division rounds once, as float() does
-            m2.numerator / (m2.denominator << 2 * shift),
-            math.ldexp(log_rational(r), -shift),
-        )
-        for m0, m1, m2, r in classes
-    ]
-    mean = math.fsum(m0 * level + m1 * slope for m0, m1, _, level in moments)
-    var = math.fsum(
-        m0 * (level - mean) ** 2 + 2 * m1 * (level - mean) * slope + m2 * slope**2
-        for m0, m1, m2, level in moments
-    )
-    return LogRatioDiagnostic(math.ldexp(mean, shift), math.ldexp(math.sqrt(var), shift))
+    slope = Fraction(log_rational(t / q))
+    # divide exactly before rounding: near q = 1, float(1 - q) may be 0
+    drift, spread = slope * q / (ONE - q), float(abs(slope) / (ONE - q)) * math.sqrt(q)
+    classes = []  # (weight, mean, spread) per class; a digit before `start` is a class of one
+    for j in range(1, start + period):
+        level = log_rational(derivative_ratio(remap, j))
+        if j < start:
+            classes.append((float(remap.source.p(j)), level, 0.0))
+        else:
+            classes.append((float(remap.source.p(j) / (ONE - q)), float(Fraction(level) + drift), spread))
+    mean = math.fsum(w * m for w, m, _ in classes)
+    # a list: unpacking a generator resizes a tuple, which grew peak RSS 1 MB in 16000 calls
+    std = math.hypot(*[math.sqrt(w) * x for w, m, s in classes for x in (m - mean, s)])
+    return LogRatioDiagnostic(mean, std)

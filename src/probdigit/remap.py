@@ -206,8 +206,6 @@ def _terms_for_tolerance(src: ProbVector, tol: Fraction) -> int:
     """Fewest terms n >= 1 with tail_mass(n + 1) <= tol, i.e. with
     prefix(n + 1) >= 1 - tol: the digit of 1 - tol, or one less when that
     digit's own prefix already equals 1 - tol."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     if tol >= 1:
         return 1
     x = ONE - Fraction(tol)

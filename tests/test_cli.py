@@ -84,7 +84,11 @@ def test_retired_terms_flag_is_an_unknown_flag(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["decode", "--x", "0", "--depth", "0"], "depth must be at least 1"),
+        (["decode", "--x", "0", "--depth", "0"], "--depth: expected a positive integer, got '0'"),
+        (["decode", "--x", "0", "--depth", "x"], "--depth: expected a positive integer, got 'x'"),
+        (["integral", "--seed", "x"], "--seed: expected a non-negative integer, got 'x'"),
+        (["integral", "--seed", "-1"], "--seed: expected a non-negative integer, got '-1'"),
+        (["selfcheck", "--seed", "-1"], "--seed: expected a non-negative integer, got '-1'"),
         (["sample", "--count", "0"], "count must be at least 1"),
         (["integral", "--bracket-depth", "0"], "--bracket-depth: depth must be at least 1"),
         (["decode", "--x", "0", "--p", "geometric q"], "geometric takes geometric:<q> or geometric q=<q>, got 'geometric q'"),
@@ -94,7 +98,18 @@ def test_retired_terms_flag_is_an_unknown_flag(capsys):
         ),
         (["decode", "--x", "0", "--phi", "table:[]"], "permutation table must not be empty"),
     ],
-    ids=["depth-0", "count-0", "bracket-depth-0", "geometric-without-q", "mixed-without-tail", "empty-table"],
+    ids=[
+        "depth-0",
+        "depth-x",
+        "seed-x",
+        "seed-negative",
+        "selfcheck-seed-negative",
+        "count-0",
+        "bracket-depth-0",
+        "geometric-without-q",
+        "mixed-without-tail",
+        "empty-table",
+    ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, argv)

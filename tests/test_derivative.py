@@ -159,8 +159,8 @@ class TestExpectedLogRatio:
     def test_identity_is_exactly_zero(self, identity_remap):
         result = expected_log_ratio(identity_remap)
         assert result.value == 0.0
-        # also where the moments of the infinite tail would not fit a float
-        for q in (1 - F(1, 10**20), 1 - F(1, 10**200), F(1, 10**320)):
+        # also for q near 1 (at 1 - 10**-400, q / (1 - q) is past float range) and below floats
+        for q in (1 - F(1, 10**20), 1 - F(1, 10**200), 1 - F(1, 10**400), F(1, 10**320)):
             family = Geometric(q)
             assert expected_log_ratio(DigitRemap(family, family, Identity())) == (0.0, 0.0)
 
@@ -180,6 +180,10 @@ class TestExpectedLogRatio:
         for source, target in itertools.product((half, near_one, nearer_one, tiny), repeat=2):
             result = expected_log_ratio(DigitRemap(source, target, PairSwap()))
             assert math.isfinite(result.value) and math.isfinite(result.std)
+        # a family onto itself under the pair swap has a tail slope of exactly
+        # 0; its log ratios are +-ln q, about 1e-400, and its std about 1e-400
+        nearest_one = Geometric(1 - F(1, 10**400))
+        assert expected_log_ratio(DigitRemap(nearest_one, nearest_one, PairSwap())) == (0.0, 0.0)
         # digits j have mean and spread about 1/eps, and the log ratio is about -j ln 2
         for source, scale in ((near_one, 1e20), (nearer_one, 1e200)):
             result = expected_log_ratio(DigitRemap(source, half, PairSwap()))

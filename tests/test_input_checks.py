@@ -1,6 +1,7 @@
 """Every entry point that takes a digit or a point refuses a bad one the
 same way: a digit that is not a positive int raises ValueError, a point
-outside [0, 1) raises DomainError, and a float point raises TypeError."""
+outside [0, 1) raises DomainError, and a float point raises TypeError.
+Each remaining refusal raises its own error with its own message."""
 
 from fractions import Fraction
 
@@ -13,11 +14,15 @@ from probdigit import (
     Geometric,
     Identity,
     MixedHeadTail,
+    NotBijective,
     PairSwap,
     TablePermutation,
+    classify_point,
+    closed_form_integral,
     decode,
     shift_value,
 )
+from probdigit.configio import render_distribution
 
 F = Fraction
 HALF = Geometric(F(1, 2))
@@ -66,3 +71,23 @@ def test_digit_entry_points_refuse_non_digits(entry, bad):
 def test_point_entry_points_refuse_points_outside_the_unit_interval(entry, bad, error):
     with pytest.raises(error):
         POINT_ENTRY_POINTS[entry](bad)
+
+
+REFUSALS = {
+    "classify_point-horizon-0": (lambda: classify_point(SWAP, DigitSeq((1, 2)), 0), ValueError, "horizon must lie in 1..2, got 0"),
+    "classify_point-horizon-past-len": (lambda: classify_point(SWAP, DigitSeq((1, 2)), 3), ValueError, "horizon must lie in 1..2, got 3"),
+    "DigitSeq.drop": (lambda: DigitSeq((1, 2)).drop(-1), ValueError, "count must be non-negative"),
+    "DigitSeq.bump_last": (lambda: DigitSeq(()).bump_last(), ValueError, "cannot bump the last digit of an empty sequence"),
+    "closed_form_integral-terms-0": (lambda: closed_form_integral(SWAP, terms=0), ValueError, "terms must be at least 1"),
+    # an unverified table that repeats a value never produces another
+    "TablePermutation.inverse": (lambda: TablePermutation((1, 1)).inverse(2), NotBijective, "value 2 is never produced by table [1, 1]"),
+    "render_distribution": (lambda: render_distribution(object()), TypeError, "cannot render object"),
+}
+
+
+@pytest.mark.parametrize("entry", REFUSALS)
+def test_each_remaining_refusal_raises_its_error(entry):
+    call, error, message = REFUSALS[entry]
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message

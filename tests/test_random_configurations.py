@@ -4,7 +4,8 @@ mixed source and target families, with the identity, the pair swap or a
 random permutation table as the digit map.
 
 The library sums every series per residue class in closed form; the oracles
-here sum one digit, or one bracket level, at a time.  It reads the order
+here sum one digit, or one bracket level, at a time, and the log-ratio law
+also from the raw class moments sum_k k**i q**k.  It reads the order
 witnesses off the digit map and classifies a point from one sign per digit;
 the oracles evaluate and compare every one-digit point and keep three
 counters per position."""
@@ -31,8 +32,8 @@ from probdigit import (
     integral_bracket,
     monotonicity_witnesses,
 )
-from probdigit.core import DIGIT_CAP, log_rational
-from probdigit.derivative import PointClassification, Verdict, classify_point
+from probdigit.core import DIGIT_CAP, ONE, ZERO, log_rational
+from probdigit.derivative import PointClassification, Verdict, classify_point, derivative_ratio
 from probdigit.remap import _digit_sums, _eventual_classes, _terms_for_tolerance
 
 F = Fraction
@@ -162,6 +163,47 @@ def test_log_ratio_law_matches_a_direct_sum(remap):
     got = expected_log_ratio(remap)
     assert abs(got.value - mean) <= 1e-12 * scale + 1e-25
     assert abs(got.std**2 - var) <= 1e-12 * square + 1e-25
+
+
+def moment_log_ratio_law(remap):
+    """Mean and std of the log ratio from the exact class moments
+    p_j0 sum_k k**i q**k (i = 0, 1, 2), the logs and moments scaled by powers
+    of two so that the squared terms fit a float, then scaled back."""
+    src = remap.source
+    start, period, q, t = _eventual_classes(remap)
+    step = t / q
+    classes = [(src.p(j), ZERO, ZERO, derivative_ratio(remap, j)) for j in range(1, start)]
+    for j0 in range(start, start + period):
+        m0 = src.p(j0) / (ONE - q)
+        m1 = m0 * q / (ONE - q) if step != ONE else ZERO
+        classes.append((m0, m1, m1 * (ONE + q) / (ONE - q), derivative_ratio(remap, j0)))
+    slope = log_rational(step)
+    bits = max(m2.numerator.bit_length() - m2.denominator.bit_length() for *_, m2, _ in classes)
+    shift = max(0, bits // 2)
+    moments = [
+        (
+            float(m0),
+            m1.numerator / (m1.denominator << shift),
+            m2.numerator / (m2.denominator << 2 * shift),
+            math.ldexp(log_rational(r), -shift),
+        )
+        for m0, m1, m2, r in classes
+    ]
+    mean = math.fsum(m0 * level + m1 * slope for m0, m1, _, level in moments)
+    var = math.fsum(
+        m0 * (level - mean) ** 2 + 2 * m1 * (level - mean) * slope + m2 * slope**2
+        for m0, m1, m2, level in moments
+    )
+    return math.ldexp(mean, shift), math.ldexp(math.sqrt(var), shift)
+
+
+@given(slow_remaps)
+@settings(deadline=None, max_examples=150)
+def test_log_ratio_law_matches_the_class_moments(remap):
+    got = expected_log_ratio(remap)
+    mean, std = moment_log_ratio_law(remap)
+    assert math.isclose(got.value, mean, rel_tol=1e-14)
+    assert math.isclose(got.std, std, rel_tol=1e-14)
 
 
 def all_pairs_witnesses(remap):

@@ -228,20 +228,6 @@ class TestClosedFormIntegral:
         # a float tolerance is compared exactly, as a Fraction would be
         assert _terms_for_tolerance(half, 1e-300) == 997
 
-    def test_nonpositive_tolerance_is_refused_promptly(self, run_bounded):
-        script = (
-            "from probdigit import Geometric\n"
-            "from probdigit.remap import _terms_for_tolerance\n"
-            "for tol in (0, -1):\n"
-            "    try:\n"
-            "        _terms_for_tolerance(Geometric('1/2'), tol)\n"
-            "    except ValueError as exc:\n"
-            "        print(exc)\n"
-        )
-        done = run_bounded("-c", script)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "tolerance must be positive\n" * 2
-
     def test_terms_past_the_bit_budget_are_refused(self, swap_remap):
         # period 2, q = (1/2)^2 and q t = 1/9: 4 bits per class term, and
         # 2^18 // 4 = 65536 terms per class
