@@ -18,27 +18,10 @@ is refused, naming its line.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bijections import DigitBijection, Identity, PairSwap, TablePermutation
-from .core import Geometric, MixedHeadTail, ProbVector
-
-
-def parse_rational(text: str) -> Fraction:
-    """Exact conversion of "a/b" or a decimal string like "0.3" (-> 3/10).
-    An exponent past the interpreter's limit on integer string digits, which
-    already bounds "a/b", is refused: 10**exponent would take seconds."""
-    text = text.strip()
-    exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
-    if exponent.isdecimal() and limit and int(exponent) > limit:
-        raise ValueError(f"{text!r} has over {limit} digits")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+from .core import Geometric, MixedHeadTail, ProbVector, parse_rational
 
 
 def _table_entry(text: str) -> int:

@@ -15,10 +15,10 @@ Every value here is exact: inputs and results are `fractions.Fraction`s, and
 floats are rejected at the boundary so that round-trips, orderings and widths
 are identities rather than approximations; the float fast path lives in
 `probdigit.numeric` and is never consulted by the exact operations.  Inside,
-`decode` and `evaluate` carry their state as plain integer numerator and
-denominator pairs and build a `Fraction` only at the end; since `Fraction`
-normalizes, the results are the same values step-by-step `Fraction`
-arithmetic gives, without a gcd on every operation.
+`decode` and `evaluate` carry integer numerator and denominator pairs, read
+each digit, the constant tail's too, as one integer triple, and build a
+`Fraction` only at the end; since `Fraction` normalizes, the results are the
+values step-by-step `Fraction` arithmetic gives, without a gcd on every step.
 
 Nearly every digit read is small (digits are i.i.d. with the weight law), so
 each family computes its exact p(n) and prefix(n) for n <= DIGIT_CAP + 1 once
@@ -30,6 +30,7 @@ every call and never stored.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from fractions import Fraction
@@ -47,18 +48,33 @@ MAX_PREFIX_BITS = 1 << 18  # bit budget of one exact prefix; see ProbVector.digi
 DIGIT_CAP = 64
 
 
+def parse_rational(text: str) -> Fraction:
+    """Exact conversion of "a/b" or a decimal string like "0.3" (-> 3/10).
+    An exponent past the interpreter's limit on integer string digits, which
+    already bounds "a/b", is refused: 10**exponent would take seconds."""
+    text = text.strip()
+    exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
+    if exponent.isdecimal() and limit and int(exponent) > limit:
+        raise ValueError(f"{text!r} has over {limit} digits")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def as_fraction(value: Rational) -> Fraction:
     """Convert to Fraction, rejecting floats.
 
     Binary floats smuggle rounding error into the exact path; callers that
     really mean a decimal should pass the decimal as a string, which converts
-    exactly ("0.3" -> 3/10).
+    exactly ("0.3" -> 3/10) through `parse_rational`.
     """
     if isinstance(value, float):
         raise TypeError(
             "floats are not accepted on the exact path; pass a Fraction, int or string"
         )
-    return Fraction(value)
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 
 def _as_point(value: Rational, name: str = "x") -> Fraction:
@@ -70,10 +86,11 @@ def _as_point(value: Rational, name: str = "x") -> Fraction:
 
 
 def log_rational(x: Fraction) -> float:
-    """ln x, finite where float(x) under- or overflows, and accurate near 1."""
-    if ONE < 2 * x < 4:
-        return math.log1p(float(x - ONE))
-    return math.log(x.numerator) - math.log(x.denominator)
+    """ln x = k ln 2 + log1p(x 2**-k - 1), k the integer nearest log2 x: finite
+    where float(x) under- or overflows, within a few ulps, near 1 (k = 0) too."""
+    k = round(math.log2(x.numerator) - math.log2(x.denominator))
+    num, den = x.numerator << max(-k, 0), x.denominator << max(k, 0)
+    return k * math.log(2) + math.log1p((num - den) / den)
 
 
 def _check_digit(j: int) -> int:
@@ -361,11 +378,11 @@ class DigitSeq:
         return cls(tuple(digits), tail)
 
     @classmethod
-    def _unchecked(cls, digits: tuple[int, ...]) -> "DigitSeq":
-        """A sequence with tail 1 from digits the library itself produced."""
+    def _unchecked(cls, digits: tuple[int, ...], tail: int) -> "DigitSeq":
+        """A sequence from digits the library itself produced or already checked."""
         seq = object.__new__(cls)
         object.__setattr__(seq, "digits", digits)
-        object.__setattr__(seq, "tail", 1)
+        object.__setattr__(seq, "tail", tail)
         return seq
 
     def __len__(self) -> int:
@@ -385,16 +402,7 @@ class DigitSeq:
         """Remove the first `count` digits; past the end, only the tail is left."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        return DigitSeq(self.digits[count:], self.tail)
-
-    def mapped(self, fn) -> "DigitSeq":
-        """Apply fn to every digit, including the constant tail digit."""
-        return DigitSeq(tuple(fn(d) for d in self.digits), fn(self.tail))
-
-    def bump_last(self) -> "DigitSeq":
-        if not self.digits:
-            raise ValueError("cannot bump the last digit of an empty sequence")
-        return DigitSeq(self.digits[:-1] + (self.digits[-1] + 1,), self.tail)
+        return DigitSeq._unchecked(self.digits[count:], self.tail)
 
     def canonical(self) -> "DigitSeq":
         """Strip trailing digits equal to the tail; same infinite string."""
@@ -445,13 +453,15 @@ class Cylinder:
 def constant_point(pv: ProbVector, digit: int) -> Fraction:
     """Exact value of the sequence repeating one digit forever.
 
-    Summing the geometric series gives prefix(d) / (1 - p_d); digit 1 yields 0.
+    Summing the geometric series gives prefix(d) / (1 - p_d), the constant
+    tail `evaluate` closes after an empty prefix; digit 1 yields 0.
     """
-    return pv.prefix(digit) / (ONE - pv.p(digit))
+    return evaluate(pv, DigitSeq(tail=digit)).value
 
 
 def evaluate(pv: ProbVector, seq: DigitSeq) -> Evaluation:
-    """Exact value of a digit sequence, plus the width of its prefix cylinder."""
+    """Exact value of a digit sequence, plus the width of its prefix cylinder;
+    the constant tail t adds prefix(t) / (1 - p_t) = a / (e - c) from t's triple."""
     entry = pv._int_entry
     # value so far num/den, cylinder width so far mass/den, from the empty prefix
     num, mass, den = 0, 1, 1
@@ -460,9 +470,8 @@ def evaluate(pv: ProbVector, seq: DigitSeq) -> Evaluation:
         num = num * e + a * mass
         mass *= c
         den *= e
-    tail = constant_point(pv, seq.tail)  # the continuation fills its share of the cylinder
-    value = Fraction(num * tail.denominator + mass * tail.numerator, den * tail.denominator)
-    return Evaluation(value, Fraction(mass, den))
+    a, c, e = entry(seq.tail)  # the continuation fills its share of the cylinder
+    return Evaluation(Fraction(num * (e - c) + mass * a, den * (e - c)), Fraction(mass, den))
 
 
 def decode(pv: ProbVector, x: Rational, depth: int) -> DigitSeq:
@@ -480,7 +489,7 @@ def decode(pv: ProbVector, x: Rational, depth: int) -> DigitSeq:
     for _ in range(depth):
         n, num, den = pv._shift(num, den)
         digits.append(n)
-    return DigitSeq._unchecked(tuple(digits))  # _shift returns digits >= 1
+    return DigitSeq._unchecked(tuple(digits), 1)  # _shift returns digits >= 1
 
 
 def shift_value(pv: ProbVector, x: Rational) -> Fraction:
@@ -493,13 +502,12 @@ def shift_value(pv: ProbVector, x: Rational) -> Fraction:
 def cylinder(pv: ProbVector, prefix: DigitSeq) -> Cylinder:
     """The half-open interval spanned by all continuations of `prefix`.
 
-    The upper endpoint is the value of the prefix with its last digit bumped
-    by one; the width is the product of the prefix digit masses (the
-    evaluation's error bound), and the two agree exactly.
+    The lower endpoint is the value of the prefix followed by all ones; the
+    width, the product of the prefix digit masses, is that evaluation's error
+    bound, and hi = lo + width is the prefix with its last digit bumped.
     """
     if not prefix.digits:
         raise ValueError("cylinder needs a nonempty digit prefix")
-    base = DigitSeq(prefix.digits)
+    base = DigitSeq._unchecked(prefix.digits, 1)
     lo, width = evaluate(pv, base)
-    hi = evaluate(pv, base.bump_last()).value
-    return Cylinder(base, lo, hi, width)
+    return Cylinder(base, lo, lo + width, width)

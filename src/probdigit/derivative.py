@@ -142,6 +142,12 @@ class LogRatioDiagnostic(NamedTuple):
     std: float
 
 
+def _sqrt(w: Fraction) -> float:
+    """sqrt(w) for 0 < w <= 1 to a float's precision, also where float(w) is subnormal."""
+    s = (w.denominator.bit_length() - w.numerator.bit_length()) // 2  # w * 4**s lies near 1
+    return math.ldexp(math.sqrt((w.numerator << 2 * s) / w.denominator), -s)
+
+
 def expected_log_ratio(remap: DigitRemap) -> LogRatioDiagnostic:
     """Average log stretch factor under the source weights, and its spread.
 
@@ -157,8 +163,8 @@ def expected_log_ratio(remap: DigitRemap) -> LogRatioDiagnostic:
     exactly from the float logs, then rounded once) and spread
     |slope| * sqrt(q) / (1 - q).  The mean is the weighted sum of the class
     means; the std is one hypot over each class's offset from it and its
-    spread.  A slope of exactly 0 keeps every class constant, however near 1
-    q lies.
+    spread, times the root of the exact class weight (precise below floats).
+    A slope of exactly 0 keeps every class constant, however near 1 q lies.
 
     Weights, class means and their products are rounded floats, so the mean
     is accurate to about 1e-16 of sum p_j |ln ratio_j|, not of the mean
@@ -168,15 +174,15 @@ def expected_log_ratio(remap: DigitRemap) -> LogRatioDiagnostic:
     start, period, q, t = _eventual_classes(remap)
     slope = Fraction(log_rational(t / q))
     # divide exactly before rounding: near q = 1, float(1 - q) may be 0
-    drift, spread = slope * q / (ONE - q), float(abs(slope) / (ONE - q)) * math.sqrt(q)
-    classes = []  # (weight, mean, spread) per class; a digit before `start` is a class of one
+    drift, spread = slope * q / (ONE - q), float(abs(slope) / (ONE - q)) * _sqrt(q)
+    classes = []  # (exact weight, mean, spread) per class; a digit before `start` is a class of one
     for j in range(1, start + period):
         level = log_rational(derivative_ratio(remap, j))
         if j < start:
-            classes.append((float(remap.source.p(j)), level, 0.0))
+            classes.append((remap.source.p(j), level, 0.0))
         else:
-            classes.append((float(remap.source.p(j) / (ONE - q)), float(Fraction(level) + drift), spread))
-    mean = math.fsum(w * m for w, m, _ in classes)
+            classes.append((remap.source.p(j) / (ONE - q), float(Fraction(level) + drift), spread))
+    mean = math.fsum(float(w) * m for w, m, _ in classes)
     # a list: unpacking a generator resizes a tuple, which grew peak RSS 1 MB in 16000 calls
-    std = math.hypot(*[math.sqrt(w) * x for w, m, s in classes for x in (m - mean, s)])
+    std = math.hypot(*[_sqrt(w) * x for w, m, s in classes for x in (m - mean, s)])
     return LogRatioDiagnostic(mean, std)

@@ -10,7 +10,7 @@ class InvalidDistribution(ProbDigitError):
 
 
 class DomainError(ProbDigitError):
-    """A point lies outside the half-open unit interval [0, 1)."""
+    """A point outside [0, 1), or a digit, depth, term count or printed result past its budget."""
 
 
 class NotBijective(ProbDigitError):

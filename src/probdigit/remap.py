@@ -70,7 +70,8 @@ class DigitRemap:
     def image_digits(self, seq: DigitSeq) -> DigitSeq:
         """Rewrite every digit, tail included; an all-ones tail becomes the
         constant phi(1) tail on the image side."""
-        return seq.mapped(self.digit_map.apply)
+        apply = self.digit_map.apply  # checks each digit
+        return DigitSeq._unchecked(tuple(map(apply, seq.digits)), apply(seq.tail))
 
     def point_value(self, seq: DigitSeq) -> Fraction:
         """Exact image of the exact point named by `seq` (digits plus tail)."""
@@ -103,7 +104,7 @@ class DigitRemap:
         if self.is_identity:
             return Evaluation(y, ZERO)
         image = decode(self.target, y, depth)
-        preimage = DigitSeq(tuple(self.digit_map.inverse(m) for m in image))
+        preimage = DigitSeq._unchecked(tuple(map(self.digit_map.inverse, image.digits)), 1)
         return evaluate(self.source, preimage)
 
     def inverted(self) -> "DigitRemap":

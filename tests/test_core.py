@@ -5,6 +5,7 @@ formula or by iterating the one-digit shift, then frozen.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from probdigit import (
     evaluate,
     shift_value,
 )
-from probdigit.core import DIGIT_CAP
+from probdigit.core import DIGIT_CAP, log_rational
 
 F = Fraction
 
@@ -292,17 +293,19 @@ class TestDecode:
 
 
 def reference_evaluate(pv, seq):
-    """Oracle: the evaluation loop on Fractions, one operation at a time."""
+    """Oracle: the evaluation loop on Fractions, one operation at a time,
+    closed by the constant tail's geometric series prefix(t) / (1 - p(t))."""
     digits = seq.digits
+    tail = pv.prefix(seq.tail) / (1 - pv.p(seq.tail))
     if not digits:
-        return constant_point(pv, seq.tail), F(1)
+        return tail, F(1)
     acc = pv.prefix(digits[0])
     prod = F(1)
     for j in range(1, len(digits)):
         prod *= pv.p(digits[j - 1])
         acc += pv.prefix(digits[j]) * prod
     prod *= pv.p(digits[-1])
-    return acc + prod * constant_point(pv, seq.tail), prod
+    return acc + prod * tail, prod
 
 
 def reference_digit(pv, x):
@@ -378,8 +381,8 @@ class TestAgainstFractionReference:
         assert decode(pv, x, len(digits)).digits == seq.digits
         assert set(pv._int_head) == set(digits)
         pv = Geometric(q)
-        evaluate(pv, seq)
-        assert set(pv._int_head) == set(digits)
+        evaluate(pv, seq)  # also reads the tail digit's entry
+        assert set(pv._int_head) == set(digits) | {2}
 
 
 class TestShift:
@@ -435,6 +438,15 @@ class TestCylinder:
         assert parent.lo <= nested.lo and nested.hi <= parent.hi
         assert nested.width == parent.width * pv.p(child)
 
+    @given(st.one_of(vectors(), edge_vectors), digit_strings)
+    @settings(deadline=None)
+    def test_upper_end_is_the_bumped_prefix(self, pv, seq):
+        # oracle: the upper end is the value of the prefix with its last digit bumped
+        if not seq.digits:
+            return
+        bumped = DigitSeq(seq.digits[:-1] + (seq.digits[-1] + 1,))
+        assert cylinder(pv, seq).hi == evaluate(pv, bumped).value
+
     def test_siblings_tile_without_gaps(self, half, mixed):
         for pv in (half, mixed):
             base = (1, 2)
@@ -453,3 +465,14 @@ class TestCylinder:
             assert cyl.contains(ext.value)
             assert ext.error_bound < prev
             prev = ext.error_bound
+
+
+class TestLogRational:
+    def test_error_is_relative_to_the_result(self):
+        # ln(1/4) plus 1e-20: the integer logs of numerator and denominator,
+        # about 46 each, would leave an error near 1e-15
+        assert log_rational(F(1, 4) / (1 - F(1, 10**20))) == -1.3862943611198906
+        # near 1, and outside float range: 400 ln 10 and 500 ln 10 to 20 digits
+        assert log_rational(1 - F(1, 10**20)) == -1e-20
+        assert math.isclose(log_rational(F(1, 10**400)), -921.03403719761827361, rel_tol=4e-16)
+        assert math.isclose(log_rational(F(10**500)), 1151.2925464970228420, rel_tol=4e-16)

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -189,6 +190,23 @@ class TestExpectedLogRatio:
             result = expected_log_ratio(DigitRemap(source, half, PairSwap()))
             assert math.isclose(result.value, -scale * math.log(2), rel_tol=1e-12)
             assert math.isclose(result.std, scale * math.log(2), rel_tol=1e-12)
+
+    def test_source_below_float_range_matches_a_decimal_reference(self):
+        # digit 2 carries mass 1e-320, a subnormal float, and log ratio about
+        # 736; the mean and std are summed at 60 digits over digits 1..6,
+        # past which the mass is below 1e-1600
+        source, target = Geometric(F(1, 10**320)), Geometric(F(1, 2))
+        remap = DigitRemap(source, target, PairSwap())
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            to_decimal = lambda f: decimal.Decimal(f.numerator) / f.denominator
+            weights = [to_decimal(source.p(j)) for j in range(1, 7)]
+            logs = [to_decimal(derivative_ratio(remap, j)).ln() for j in range(1, 7)]
+            mean = sum(w * x for w, x in zip(weights, logs))
+            std = sum(w * (x - mean) ** 2 for w, x in zip(weights, logs)).sqrt()
+        result = expected_log_ratio(remap)
+        assert math.isclose(result.value, float(mean), rel_tol=4e-16)
+        assert math.isclose(result.std, float(std), rel_tol=1e-12)
 
     @given(families, families, digit_maps)
     @settings(deadline=None)

@@ -1,8 +1,9 @@
 """Every entry point that takes a digit or a point refuses a bad one the
 same way: a digit that is not a positive int raises ValueError, a point
 outside [0, 1) raises DomainError, and a float point raises TypeError.
-Each remaining refusal raises its own error with its own message."""
+Each remaining refusal raises its own error with its own message, promptly."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from probdigit import (
     NotBijective,
     PairSwap,
     TablePermutation,
+    as_fraction,
     classify_point,
     closed_form_integral,
+    constant_point,
     decode,
     shift_value,
 )
@@ -37,6 +40,8 @@ DIGIT_ENTRY_POINTS = {
     "MixedHeadTail.prefix": MIXED.prefix,
     "DigitSeq.digits": lambda n: DigitSeq((1, n)),
     "DigitSeq.tail": lambda n: DigitSeq((1,), n),
+    # with digit 1's entry cached first, a lookup alone would accept True
+    "constant_point": lambda n: (constant_point(HALF, 1), constant_point(HALF, n)),
     "Identity.apply": Identity().apply,
     "Identity.inverse": Identity().inverse,
     "PairSwap.apply": PairSwap().apply,
@@ -77,17 +82,23 @@ REFUSALS = {
     "classify_point-horizon-0": (lambda: classify_point(SWAP, DigitSeq((1, 2)), 0), ValueError, "horizon must lie in 1..2, got 0"),
     "classify_point-horizon-past-len": (lambda: classify_point(SWAP, DigitSeq((1, 2)), 3), ValueError, "horizon must lie in 1..2, got 3"),
     "DigitSeq.drop": (lambda: DigitSeq((1, 2)).drop(-1), ValueError, "count must be non-negative"),
-    "DigitSeq.bump_last": (lambda: DigitSeq(()).bump_last(), ValueError, "cannot bump the last digit of an empty sequence"),
     "closed_form_integral-terms-0": (lambda: closed_form_integral(SWAP, terms=0), ValueError, "terms must be at least 1"),
     # an unverified table that repeats a value never produces another
     "TablePermutation.inverse": (lambda: TablePermutation((1, 1)).inverse(2), NotBijective, "value 2 is never produced by table [1, 1]"),
     "render_distribution": (lambda: render_distribution(object()), TypeError, "cannot render object"),
+    # strings go through the command line's reader: Fraction alone would build
+    # 10**4000000, seconds of work, and raise ZeroDivisionError on "1/0"
+    "as_fraction-huge-exponent": (lambda: as_fraction("1e-4000000"), ValueError, "'1e-4000000' has over 4300 digits"),
+    "as_fraction-zero-denominator": (lambda: as_fraction("1/0"), ValueError, "zero denominator in '1/0'"),
+    "Geometric-zero-denominator": (lambda: Geometric("1/0"), ValueError, "zero denominator in '1/0'"),
 }
 
 
 @pytest.mark.parametrize("entry", REFUSALS)
 def test_each_remaining_refusal_raises_its_error(entry):
     call, error, message = REFUSALS[entry]
+    start = time.perf_counter()
     with pytest.raises(error) as raised:
         call()
+    assert time.perf_counter() - start < 0.5  # each refusal is prompt
     assert str(raised.value) == message
