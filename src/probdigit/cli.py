@@ -23,7 +23,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import configio, numeric
+from . import configio
 from .bijections import verify_bijection
 from .core import DigitSeq, cylinder, decode, evaluate
 from .derivative import cylinder_derivative, derivative_ratio, digit_counts
@@ -124,6 +124,8 @@ def _cmd_eval_g(args: argparse.Namespace) -> int:
 
 
 def _cmd_integral(args: argparse.Namespace) -> int:
+    from . import numeric  # numpy loads only in the commands that sample
+
     cfg = _config(args)
     remap = _remap(cfg)
     closed = closed_form_integral(remap)
@@ -151,6 +153,8 @@ def _cmd_integral(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    from . import numeric
+
     cfg = _config(args)
     xs, ys, dlog = numeric.sample_rows(_remap(cfg), args.count, depth=cfg.depth)
     lines = ["x,y,dlog"]

@@ -43,8 +43,8 @@ Rational = int | str | Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MAX_PREFIX_BITS = 1 << 18  # bit budget of one exact prefix; see ProbVector.digit_of
-# Digits 1..DIGIT_CAP + 1 are the head: memoized exactly per family, enumerated
-# one by one by the float path, and the digits integral_bracket's cylinders cover
+# Digits 1..DIGIT_CAP + 1 are the head: memoized exactly per family and
+# enumerated one by one by the float path
 DIGIT_CAP = 64
 
 
@@ -404,13 +404,6 @@ class DigitSeq:
             raise ValueError("count must be non-negative")
         return DigitSeq._unchecked(self.digits[count:], self.tail)
 
-    def canonical(self) -> "DigitSeq":
-        """Strip trailing digits equal to the tail; same infinite string."""
-        digits = list(self.digits)
-        while digits and digits[-1] == self.tail:
-            digits.pop()
-        return DigitSeq(tuple(digits), self.tail)
-
     def compare(self, other: "DigitSeq") -> int:
         """Lexicographic order of the two infinite strings: -1, 0 or 1."""
         for i in range(max(len(self), len(other)) + 1):
@@ -439,12 +432,11 @@ class Cylinder:
 
     prefix: DigitSeq
     lo: Fraction
-    hi: Fraction
     width: Fraction
 
-    def __post_init__(self) -> None:
-        if self.hi - self.lo != self.width:
-            raise ValueError("cylinder bounds disagree with the digit-mass product")
+    @property
+    def hi(self) -> Fraction:
+        return self.lo + self.width
 
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x < self.hi
@@ -509,5 +501,4 @@ def cylinder(pv: ProbVector, prefix: DigitSeq) -> Cylinder:
     if not prefix.digits:
         raise ValueError("cylinder needs a nonempty digit prefix")
     base = DigitSeq._unchecked(prefix.digits, 1)
-    lo, width = evaluate(pv, base)
-    return Cylinder(base, lo, lo + width, width)
+    return Cylinder(base, *evaluate(pv, base))

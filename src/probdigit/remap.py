@@ -18,7 +18,7 @@ series, whole or truncated, is a finite head plus `period` geometric residue
 classes, and one helper, `_digit_sums`, sums every such series per class in
 closed form.  The integral is computed here exactly, as a truncated sum with
 its tail bound, and as rigorous finite brackets, whose per-level recursion
-is itself summed in closed form.
+reads the same two whole series and is itself summed in closed form.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import NamedTuple
 
 from .bijections import DigitBijection, verify_bijection
 from .core import (
-    DIGIT_CAP,
     MAX_PREFIX_BITS,
     ONE,
     ZERO,
@@ -59,9 +58,9 @@ class DigitRemap:
         verify_bijection(self.digit_map)
 
     @cached_property
-    def _head_sums(self) -> tuple[Fraction, Fraction]:
-        """`_digit_sums` over digits 1..DIGIT_CAP, shared by every bracket depth."""
-        return _digit_sums(self, DIGIT_CAP)
+    def _sums(self) -> tuple[Fraction, Fraction]:
+        """`_digit_sums` over every digit, shared by the closed form and every bracket depth."""
+        return _digit_sums(self)
 
     @cached_property
     def is_identity(self) -> bool:
@@ -236,7 +235,7 @@ def closed_form_integral(
     and goes once the benchmark stops calling it.
     """
     if terms is None and exact:
-        s_pref, s_mass = _digit_sums(remap)
+        s_pref, s_mass = remap._sums
         return ClosedFormIntegral(s_pref / (ONE - s_mass), ZERO)
     n = terms if terms is not None else _terms_for_tolerance(remap.source, _TOLERANCE)
     if n < 1:
@@ -258,35 +257,37 @@ def closed_form_integral(
 def integral_bracket(remap: DigitRemap, depth: int) -> IntegralBracket:
     """Rigorous lower/upper bounds from the depth-`depth` cylinder partition.
 
-    [0,1) splits into all cylinders of the given depth whose digits stay at
-    or below `DIGIT_CAP`, plus a remainder band at each node for the larger
-    digits.  On a covered cylinder the function is pinned inside its image
-    cylinder; on a band it is pinned inside the surrounding node's image
-    cylinder.  Self-similarity collapses the sum over that tree into the
-    affine per-level recursion lower -> A + B lower, upper -> A + B upper +
-    band from (0, 1), with (A, B) the head sums over digits 1..DIGIT_CAP and
-    band the source mass past it; its closed form after `depth` levels is
+    [0,1) splits into the source cylinders of every digit string of length
+    `depth`, and on each the function is pinned inside its image cylinder,
+    so the integral lies between the sums of source mass times image lower
+    and upper end.  A string n, rest has image prefix_target(phi(n)) +
+    p_target(phi(n)) * (image of rest), so summing over the first digit
+    collapses the tree into the affine per-level recursion
+    lower -> A + B lower, upper -> A + B upper from (0, 1), with (A, B) the
+    whole-series sums of `closed_form_integral`.  After `depth` levels
 
         lower = A (1 - B^depth) / (1 - B)
-        upper = B^depth + (A + band) (1 - B^depth) / (1 - B)
+        upper = lower + B^depth
 
-    so the cost is one power instead of a loop over the levels, and tests
-    replay both the recursion and the explicit enumeration to confirm
-    equality.  Both endpoints are exact rationals, the true integral always
-    lies between them, and the bracket tightens strictly as depth grows.
+    so the cost is one power instead of a loop over the levels, and the width
+    B^depth is the source-weighted total width of the image cylinders.  Both
+    endpoints are exact rationals, the true integral always lies between
+    them, and the bracket tightens strictly as depth grows.  Since the
+    bracket shares (A, B) with the closed form, it proves that A / (1 - B)
+    is the recursion's fixed point, not that the series are summed right;
+    the tests' explicit cylinder enumeration is that independent check.
     B^depth grows by B's bits per level, so a depth at which it would need
     more than MAX_PREFIX_BITS bits raises DomainError.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    pref_sum, mass_sum = remap._head_sums
+    pref_sum, mass_sum = remap._sums
     most = MAX_PREFIX_BITS // mass_sum.denominator.bit_length()
     if depth > most:
         raise DomainError(f"depth {depth} exceeds {most}: the bracket needs over {MAX_PREFIX_BITS} bits")
-    band = remap.source.tail_mass(DIGIT_CAP + 1)
     power = mass_sum**depth
-    levels = (ONE - power) / (ONE - mass_sum)  # 1 + B + ... + B^(depth - 1)
-    return IntegralBracket(pref_sum * levels, power + (pref_sum + band) * levels)
+    lower = pref_sum * (ONE - power) / (ONE - mass_sum)
+    return IntegralBracket(lower, lower + power)
 
 
 @dataclass(frozen=True)

@@ -196,7 +196,7 @@ def test_impossible_size_exits_2_with_one_line(run_bounded, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--bracket-depth", "100000"], "error: --bracket-depth: depth 100000 exceeds 2570: "),
+        (["--bracket-depth", "100000"], "error: --bracket-depth: depth 100000 exceeds 43690: "),
         # no flag to name here: the exact closed form has too many digits to print
         (["--samples", "1000", "--p", HUGE_DENOMINATORS], "error: the closed form has over 4300 digits to print\n"),
     ],
@@ -231,6 +231,19 @@ def test_one_process_prints_what_fresh_processes_print(run_bounded):
     for argv, call in zip(session, calls):
         fresh = run_bounded("-m", "probdigit.cli", *argv)
         assert call == [fresh.returncode, fresh.stdout, fresh.stderr]
+
+
+def test_commands_that_do_not_sample_leave_numpy_unloaded(run_bounded):
+    script = (
+        "import sys\n"
+        "from probdigit.cli import main\n"
+        "for argv in (['decode', '--x', '1/3'], ['eval-g', '--x', '1/3'], ['selfcheck']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = run_bounded("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_integral_identity_reports_half(capsys):

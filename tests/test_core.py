@@ -163,10 +163,6 @@ class TestDigitSeq:
         with pytest.raises(ValueError):
             DigitSeq((1,), tail=0)
 
-    def test_canonical_strips_tail_digits(self):
-        assert DigitSeq.of(2, 1, 1).canonical() == DigitSeq.of(2)
-        assert DigitSeq.of(2, 2, tail=2).canonical() == DigitSeq(tail=2)
-
     def test_compare_sees_through_tails(self):
         assert DigitSeq.of(2).compare(DigitSeq.of(2, 1)) == 0
         assert DigitSeq.of(1, 3).compare(DigitSeq.of(2)) == -1
@@ -424,9 +420,10 @@ class TestCylinder:
         with pytest.raises(ValueError):
             cylinder(half, DigitSeq())
 
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Cylinder(DigitSeq.of(1), F(0), F(1, 2), F(1, 3))
+    def test_hi_is_lo_plus_width(self):
+        # hi is derived, so bounds that disagree with the width cannot be built
+        c = Cylinder(DigitSeq.of(1), F(1, 5), F(1, 3))
+        assert c.hi == c.lo + c.width == F(8, 15)
 
     @given(vectors(), digit_lists, st.integers(1, 6))
     @settings(deadline=None)

@@ -5,10 +5,11 @@ random permutation table as the digit map.
 
 The library sums every series per residue class in closed form; the oracles
 here sum one digit, or one bracket level, at a time, and the log-ratio law
-also from the raw class moments sum_k k**i q**k.  It reads the order
-witnesses off the digit map and classifies a point from one sign per digit;
-the oracles evaluate and compare every one-digit point and keep three
-counters per position."""
+also from the raw class moments sum_k k**i q**k.  The bracket over every
+digit must also lie inside the older bracket over digits up to 64 plus a
+band.  It reads the order witnesses off the digit map and classifies a point
+from one sign per digit; the oracles evaluate and compare every one-digit
+point and keep three counters per position."""
 
 import itertools
 import math
@@ -32,7 +33,7 @@ from probdigit import (
     integral_bracket,
     monotonicity_witnesses,
 )
-from probdigit.core import DIGIT_CAP, ONE, ZERO, log_rational
+from probdigit.core import ONE, ZERO, log_rational
 from probdigit.derivative import PointClassification, Verdict, classify_point, derivative_ratio
 from probdigit.remap import _digit_sums, _eventual_classes, _terms_for_tolerance
 
@@ -116,13 +117,36 @@ def test_partial_sums_under_extreme_ratios(q):
 @given(wide_remaps)
 @settings(deadline=None, max_examples=30)
 def test_bracket_equals_the_per_level_recursion(remap):
-    pref_sum, mass_sum = partial_sums(remap, DIGIT_CAP)[-1]
-    band = remap.source.tail_mass(DIGIT_CAP + 1)
+    # the whole-series sums, read back from the closed form A / (1 - B)
+    pref_sum, mass_sum = _digit_sums(remap)
+    assert closed_form_integral(remap).value == pref_sum / (1 - mass_sum)
     lower, upper = F(0), F(1)
     for depth in range(1, 41):
         lower = pref_sum + mass_sum * lower
-        upper = pref_sum + mass_sum * upper + band
+        upper = pref_sum + mass_sum * upper
         assert integral_bracket(remap, depth) == (lower, upper)
+
+
+def head_and_band_bracket(remap, depth):
+    """The bracket over the cylinders whose digits stay at or below 64: the
+    recursion on the 64-digit head sums, plus the source mass past digit 64
+    as a band at every level."""
+    pref_sum, mass_sum = partial_sums(remap, 64)[-1]
+    band = remap.source.tail_mass(65)
+    lower, upper = F(0), F(1)
+    for _ in range(depth):
+        lower = pref_sum + mass_sum * lower
+        upper = pref_sum + mass_sum * upper + band
+    return lower, upper
+
+
+@given(slow_remaps, st.sampled_from([1, 2, 8]))
+@settings(deadline=None, max_examples=60)
+def test_bracket_lies_inside_the_head_and_band_bracket(remap, depth):
+    closed = closed_form_integral(remap).value
+    bracket = integral_bracket(remap, depth)
+    lower, upper = head_and_band_bracket(remap, depth)
+    assert lower <= bracket.lower <= closed <= bracket.upper <= upper
 
 
 @given(remaps)

@@ -13,12 +13,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from probdigit import remap as remap_module
 from probdigit import (
     DigitRemap,
     DigitSeq,
     DomainError,
     Geometric,
+    Identity,
     NotBijective,
     PairSwap,
     TablePermutation,
@@ -28,6 +28,7 @@ from probdigit import (
     integral_bracket,
     monotonicity_witnesses,
 )
+from probdigit.remap import _digit_sums
 
 F = Fraction
 
@@ -177,16 +178,12 @@ class TestResidual:
 
 class TestClosedFormIntegral:
     def test_identity_over_halves(self, identity_remap):
-        from probdigit.remap import _digit_sums
-
         result = closed_form_integral(identity_remap)
         assert result == (F(1, 2), 0)
         # numerator 1/3 over denominator 1 - 1/3 = 2/3
         assert _digit_sums(identity_remap) == (F(1, 3), F(1, 3))
 
     def test_pairswap_worked_example(self, swap_remap):
-        from probdigit.remap import _digit_sums
-
         result = closed_form_integral(swap_remap)
         assert result.value == F(11, 25)
         assert result.tail_bound == 0
@@ -235,8 +232,6 @@ class TestClosedFormIntegral:
             closed_form_integral(swap_remap, terms=131074)
 
     def test_numerator_and_denominator_signs(self, swap_remap, table_remap, identity_remap):
-        from probdigit.remap import _digit_sums
-
         for remap in (swap_remap, table_remap, identity_remap):
             s_pref, s_mass = _digit_sums(remap)
             assert s_pref >= 0
@@ -257,50 +252,62 @@ class TestIntegralBracket:
         bracket = integral_bracket(swap_remap, 8)
         assert bracket.contains(F(11, 25))
 
-    def test_recursion_equals_explicit_cylinder_enumeration(
-        self, swap_remap, table_remap, monkeypatch
-    ):
-        def enumerate_bracket(remap, depth, cap):
+    def test_recursion_equals_explicit_cylinder_enumeration(self, swap_remap, table_remap, half, mixed):
+        def enumerate_brackets(remap, depth, cap):
+            """[(lower, upper) at depth 0..depth], each summing source mass times
+            image-cylinder end over every digit string of that length: digits
+            1..cap one by one at each node, and the subtrees whose next digit
+            exceeds cap in exact form, from the series past cap and the
+            enumerated bracket one level shallower."""
             src, tgt, phi = remap.source, remap.target, remap.digit_map
-            lo_total = hi_total = F(0)
+            (a, b), (a_head, b_head) = _digit_sums(remap), _digit_sums(remap, cap)
+            rest_mass = src.tail_mass(cap + 1)
+            brackets = [(F(0), F(1))]
 
-            def image_bounds(digits):
-                if not digits:
-                    return F(0), F(1)
-                c = cylinder(tgt, DigitSeq(tuple(phi.apply(d) for d in digits)))
-                return c.lo, c.hi
-
-            def walk(digits, width, remaining):
-                nonlocal lo_total, hi_total
-                img_lo, img_hi = image_bounds(digits)
+            def walk(digits, width, remaining, end):  # end 0 sums lower ends, 1 upper ends
+                img_lo, img_width = F(0), F(1)
+                if digits:
+                    c = cylinder(tgt, DigitSeq(tuple(map(phi.apply, digits))))
+                    img_lo, img_width = c.lo, c.width
                 if remaining == 0:
-                    lo_total += width * img_lo
-                    hi_total += width * img_hi
-                    return
-                band = width * src.tail_mass(cap + 1)
-                lo_total += band * img_lo
-                hi_total += band * img_hi
+                    return width * (img_lo + end * img_width)
+                inner = brackets[remaining - 1][end]
+                total = width * (rest_mass * img_lo + img_width * (a - a_head + (b - b_head) * inner))
                 for n in range(1, cap + 1):
-                    walk(digits + (n,), width * src.p(n), remaining - 1)
+                    total += walk(digits + (n,), width * src.p(n), remaining - 1, end)
+                return total
 
-            walk((), F(1), depth)
-            return lo_total, hi_total
+            for level in range(1, depth + 1):
+                brackets.append((walk((), F(1), level, 0), walk((), F(1), level, 1)))
+            return brackets
 
-        for remap in (swap_remap, table_remap):
+        remaps = (
+            swap_remap,
+            table_remap,
+            DigitRemap(mixed, half, TablePermutation((3, 1, 2))),
+            DigitRemap(Geometric(F(99, 100)), Geometric(F(199, 200)), PairSwap()),
+        )
+        for remap in remaps:
             for depth, cap in ((1, 5), (2, 4), (3, 3)):
-                # a small digit cap keeps the enumeration short; a fresh remap
-                # sums its bracket head under the patched cap
-                monkeypatch.setattr(remap_module, "DIGIT_CAP", cap)
-                fresh = DigitRemap(remap.source, remap.target, remap.digit_map)
-                bracket = integral_bracket(fresh, depth)
-                assert (bracket.lower, bracket.upper) == enumerate_bracket(remap, depth, cap)
+                for level, expected in enumerate(enumerate_brackets(remap, depth, cap)[1:], 1):
+                    assert integral_bracket(remap, level) == expected
+
+    def test_slow_tails_are_covered_past_digit_64(self):
+        # most of each source's mass lies past digit 64: 0.94 and 0.53 of it
+        slow = Geometric(F(999, 1000))
+        bracket = integral_bracket(DigitRemap(slow, slow, Identity()), 8)
+        assert bracket.contains(F(1, 2)) and bracket.width < F(1, 10**26)
+        swap = DigitRemap(Geometric(F(99, 100)), Geometric(F(199, 200)), PairSwap())
+        bracket = integral_bracket(swap, 8)
+        assert bracket.contains(closed_form_integral(swap).value) and bracket.width < F(1, 10**19)
 
     def test_depth_past_the_bit_budget_is_refused(self, swap_remap):
-        # the 64-digit head sum B of the worked example has a 102-bit
-        # denominator, and 2570 * 102 <= MAX_PREFIX_BITS < 2571 * 102
-        assert integral_bracket(swap_remap, 2570).contains(F(11, 25))
-        with pytest.raises(DomainError, match="depth 2571 exceeds 2570"):
-            integral_bracket(swap_remap, 2571)
+        # the worked example's whole-series mass sum B = 7/32 has a 6-bit
+        # denominator, and 43690 * 6 <= MAX_PREFIX_BITS < 43691 * 6
+        assert swap_remap._sums[1] == F(7, 32)
+        assert integral_bracket(swap_remap, 43690).contains(F(11, 25))
+        with pytest.raises(DomainError, match="depth 43691 exceeds 43690"):
+            integral_bracket(swap_remap, 43691)
 
     def test_closed_form_always_inside(self, swap_remap, table_remap, identity_remap, mixed):
         remaps = [
