@@ -6,26 +6,37 @@ floating-point error and exist for plot data, for spot-checking the closed
 forms from an independent code path, and for law-of-large-numbers style
 diagnostics (sampled log-derivative paths against the exact law of
 `probdigit.derivative.expected_log_ratio`).  All randomness is drawn from
-seeded generators, so every output is reproducible.  Digits above
-`DIGIT_CAP` are clamped to it everywhere.  That is harmless only when the
-source mass past `DIGIT_CAP` is small: on a slow tail it is most of the mass
-(q**64, about 0.94 for `Geometric(999/1000)`), and the float results are then
-wrong by far more than their standard errors say.
+seeded generators, so every output is reproducible.
 
 Value-only evaluation stops reading a point's digits once its image cylinder
-is narrower than float resolution, and the Monte Carlo and log-path routines
-draw their uniforms in chunks of about `_CHUNK` values, so their working
-memory is bounded apart from the one result array.  Successive draws from a seeded
-generator continue one stream, so chunking leaves every seeded draw unchanged.
+is narrower than float resolution.  It writes the point's value then and
+freezes the point in place; the arrays are compacted to the live points only
+once a quarter of them are frozen, not at every step.  The Monte Carlo and
+log-path routines draw their uniforms in chunks of about `_CHUNK` values, so
+their working memory is bounded apart from the one result array.  Successive
+draws from a seeded generator continue one stream, so chunking leaves every
+seeded draw unchanged.
 
 A point's digit comes from a table of `_BUCKETS` equal buckets of [0, 1),
 built once per remap: its bucket names the digit at the bucket's low end and
 the one digit boundary inside the bucket, so one exact comparison finishes
 the lookup.  Only points in crowded buckets, which hold several boundaries
 because digit masses there are below 1 / _BUCKETS (near 1 under a geometric
-tail, for instance), are found by binary search over the prefix table.  The table is built from
-that search at each bucket's two ends, so every digit is the one the search
-would give.
+tail, for instance), or which reach the last boundary of the tables, are
+found by binary search over the prefix table.  The table is built from that
+search at each bucket's two ends, so every digit up to the tables' last one
+is the one the search would give.
+
+The tables hold the digits up to `DIGIT_CAP` (further if the remap's closed
+form starts later).  A point past their last boundary, which on a slow tail
+is most points (q**64 of the mass, about 0.94 for `Geometric(999/1000)`),
+takes its digit from the source prefix form in floats, and that digit's
+masses, prefixes and log ratio from the closed form of its residue class.
+Rescaling x to (x - prefix) / p_n keeps x's absolute rounding, so the
+shifted point is known only to about ulp(1) / p_n, and its later digits are
+coarse when p_n is small.  That is no worse than the input's own resolution:
+x names a point only to within ulp(1), and that interval shifts to one
+ulp(1) / p_n wide, which the image cylinder of digit n scales back down.
 """
 
 from __future__ import annotations
@@ -37,25 +48,35 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DIGIT_CAP, constant_point, log_rational
-from .remap import DigitRemap
+from .remap import DigitRemap, _eventual_classes
 
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 _RESOLUTION = 2.0**-53  # an image cylinder this narrow pins a value in [0, 1) to float precision
 _CHUNK = 1 << 16  # uniforms drawn per step of the Monte Carlo and log-path loops
 # equal buckets of [0, 1) in the digit lookup; a power of two, so x * _BUCKETS is exact
 _BUCKETS = 1 << 12
+_COMPACT_SHARE = 0.25  # share of frozen points at which the value loop compacts its arrays
 
 
 @dataclass(frozen=True)
 class _FloatTables:
-    prefix: np.ndarray       # source prefix(1..DIGIT_CAP+1)
-    mass: np.ndarray         # source p(1..DIGIT_CAP)
-    image_prefix: np.ndarray  # target prefix(phi(n)) for n = 1..DIGIT_CAP
+    prefix: np.ndarray       # source prefix(1..size+1), size = len(mass)
+    mass: np.ndarray         # source p(1..size)
+    image_prefix: np.ndarray  # target prefix(phi(n)) for n = 1..size
     image_mass: np.ndarray    # target p(phi(n))
     log_ratio: np.ndarray     # ln(image_mass / mass)
     tail_const: float         # image value of the all-ones continuation
     bucket_index: np.ndarray  # digit index at each bucket's low end, -1 for a crowded bucket
     bucket_next: np.ndarray   # the one prefix boundary inside each bucket, inf if none
+    # past the tables: ln coeff and ln ratio of the source prefix form, which
+    # name a point's digit n, and the residue classes n = start + r + k * period
+    log_prefix_form: tuple[float, float]
+    start: int
+    period: int
+    # row r: ln of the source tail mass and mass, the target tail mass and mass
+    # at phi, and ln of the mass ratio, at digit start + r
+    class_logs: np.ndarray
+    class_slopes: np.ndarray  # what each column of class_logs gains per step k along a class
 
 
 def _tables(remap: DigitRemap) -> _FloatTables:
@@ -69,9 +90,11 @@ def _tables(remap: DigitRemap) -> _FloatTables:
 
 def _build_tables(remap: DigitRemap) -> _FloatTables:
     src, tgt, phi = remap.source, remap.target, remap.digit_map
-    prefix = np.array([float(src.prefix(n)) for n in range(1, DIGIT_CAP + 2)])
-    mass = np.array([float(src.p(n)) for n in range(1, DIGIT_CAP + 1)])
-    image = [phi.apply(n) for n in range(1, DIGIT_CAP + 1)]
+    start, period, q, t = _eventual_classes(remap)
+    size = max(DIGIT_CAP, start - 1)  # every digit past the tables is in closed form
+    prefix = np.array([float(src.prefix(n)) for n in range(1, size + 2)])
+    mass = np.array([float(src.p(n)) for n in range(1, size + 1)])
+    image = [phi.apply(n) for n in range(1, size + 1)]
     image_prefix = np.array([float(tgt.prefix(m)) for m in image])
     image_mass = np.array([float(tgt.p(m)) for m in image])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -81,34 +104,79 @@ def _build_tables(remap: DigitRemap) -> _FloatTables:
         log_ratio[i] = log_rational(tgt.p(image[i]) / src.p(i + 1))
     tail_const = float(constant_point(tgt, phi.apply(1)))
     # bucket b holds [b, b + 1) / _BUCKETS; its two ends, looked up the slow way,
-    # say how many digit boundaries it spans
+    # say how many digit boundaries it spans, and one that reaches the last
+    # boundary is crowded too, so that the fallback sees every point past it
     low = np.arange(_BUCKETS) / _BUCKETS
+    high = np.nextafter(low + 1.0 / _BUCKETS, 0.0)
     first = _searched_index(prefix, low)
-    spread = _searched_index(prefix, np.nextafter(low + 1.0 / _BUCKETS, 0.0)) - first
-    bucket_index = np.where(spread <= 1, first, -1)
-    bucket_next = np.where(spread == 1, prefix[first + 1], np.inf)
+    spread = _searched_index(prefix, high) - first
+    plain = (spread <= 1) & (high < prefix[-1])
+    bucket_index = np.where(plain, first, -1)
+    bucket_next = np.where(plain & (spread == 1), prefix[first + 1], np.inf)
+    class_logs = np.array([
+        [log_rational(v) for v in (src.tail_mass(j), src.p(j), tgt.tail_mass(m), tgt.p(m), tgt.p(m) / src.p(j))]
+        for j, m in ((j, phi.apply(j)) for j in range(start, start + period))
+    ])
+    class_slopes = np.array([log_rational(r) for r in (q, q, t, t, t / q)])
     arrays = (prefix, mass, image_prefix, image_mass, log_ratio)
-    for array in (*arrays, bucket_index, bucket_next):
+    for array in (*arrays, bucket_index, bucket_next, class_logs, class_slopes):
         array.setflags(write=False)  # every later call on the remap shares them
-    return _FloatTables(*arrays, tail_const, bucket_index, bucket_next)
+    return _FloatTables(
+        *arrays, tail_const, bucket_index, bucket_next,
+        src._digit_search[:2], start, period, class_logs, class_slopes,
+    )
 
 
 def _searched_index(prefix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Digit index (digit - 1) of each x, clamped at DIGIT_CAP, by binary search."""
-    return np.minimum(np.searchsorted(prefix, x, side="right"), DIGIT_CAP) - 1
+    """Digit index (digit - 1) of each x by binary search, clamped at the last
+    table digit."""
+    return np.minimum(np.searchsorted(prefix, x, side="right"), prefix.size - 1) - 1
 
 
-def _digit_index(t: _FloatTables, x: np.ndarray) -> np.ndarray:
-    """Exactly `_searched_index(t.prefix, x)` for a flat array x in [0, 1)."""
+def _digit_index(t: _FloatTables, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exactly `_searched_index(t.prefix, x)` for a flat array x in [0, 1), and
+    the positions of the x at or past the last table boundary, whose digit that
+    index clamps."""
     bucket = np.multiply(x, _BUCKETS, out=np.empty(x.shape, np.intp), casting="unsafe")
     # the comparison first, so that the lookup holds at most two full-size arrays at once
     above = x >= t.bucket_next.take(bucket)
     idx = t.bucket_index.take(bucket)
     idx += above
     crowded = np.flatnonzero(idx < 0)
-    if crowded.size:
-        idx[crowded] = _searched_index(t.prefix, x[crowded])
-    return idx
+    if not crowded.size:
+        return idx, crowded
+    x = x.take(crowded)
+    idx[crowded] = _searched_index(t.prefix, x)
+    return idx, crowded[x >= t.prefix[-1]]
+
+
+def _past_tables(t: _FloatTables, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Source prefix, source mass, image prefix, image mass and log ratio at
+    the digits of points x past the tables.
+
+    The digit inverts the source prefix form 1 - x = coeff * ratio**n in
+    floats.  Digit n = start + r + k * period of class r reads each column
+    from the logs at the class's first digit plus k times its slope (the
+    family ratios to the power period, or for the log ratio their ratio), as
+    `expected_log_ratio` does.  The prefix is capped at x, so the shifted
+    point stays at or above 0 where rounding puts the boundary past it.
+    """
+    log_coeff, log_q = t.log_prefix_form
+    n = np.floor((np.log1p(-x) - log_coeff) / log_q)
+    # rounding can land below the first digit past the tables, and a ratio within
+    # float precision of 1 can send n to inf
+    n = np.fmin(np.fmax(n, t.mass.size + 1), 2.0**53)
+    r = np.fmod(n - t.start, t.period)  # floats below 2**53 keep n, r and k exact
+    logs = t.class_logs[r.astype(np.intp)]
+    logs += ((n - t.start - r) / t.period)[:, None] * t.class_slopes
+    tail, mass, image_tail, image_mass, ratio = logs.T
+    return np.fmin(-np.expm1(tail), x), np.exp(mass), -np.expm1(image_tail), np.exp(image_mass), ratio
+
+
+def _positions(live: np.ndarray | None, i: np.ndarray) -> np.ndarray:
+    """Positions in the output of array entries i: i itself until the arrays
+    are first compacted, so that no position array is held before then."""
+    return i if live is None else live.take(i)
 
 
 def remap_values(
@@ -122,8 +190,12 @@ def remap_values(
     Reads at most `depth` digits of each point and closes the unread rest
     with the image of the all-ones continuation.  Without the log derivative
     a point stops once its image-cylinder width drops below 2**-53, since its
-    later digits cannot move the value by more than that; the loop then
-    carries only the points still being read.
+    later digits cannot move the value by more than that: its value is
+    written then, and the point is frozen by setting its width to inf, which
+    no later step can bring below 2**-53 again (inf times a mass is inf, or
+    NaN when the mass underflowed to 0.0).  Frozen points ride along until
+    they make up `_COMPACT_SHARE` of the arrays, which are then compacted to
+    the live points in one pass.
 
     With `with_log_derivative` set, every point reads all `depth` digits and
     the log of the depth-`depth` cylinder derivative is accumulated along each
@@ -140,36 +212,53 @@ def remap_values(
     x = np.clip(x, 0.0, _BELOW_ONE)
     shape = x.shape
     x = x.reshape(-1)
-    out = y = np.zeros_like(x)
+    y = np.zeros_like(x)
     prod = np.ones_like(x)
     dlog = np.zeros_like(x) if with_log_derivative else None
-    live = None if with_log_derivative else np.arange(x.size)  # positions of y in out
+    out = None if with_log_derivative else np.empty_like(x)
+    live = None  # positions in out of the arrays' points, from their first compaction on
+    frozen = 0
     # a mass that underflows to 0.0 divides to inf, or to NaN at 0/0; the fmin
     # below takes both back into [0, 1), since fmin, unlike clip, maps NaN to the bound
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(depth):
-            idx = _digit_index(t, x)
-            y += t.image_prefix[idx] * prod
-            prod *= t.image_mass[idx]
+            idx, far = _digit_index(t, x)
+            past = _past_tables(t, x.take(far)) if far.size else None
+
+            def gather(table: np.ndarray, column: int) -> np.ndarray:
+                # the table's values at idx, and past the tables its column of `past`
+                values = table.take(idx)
+                if past is not None:
+                    values[far] = past[column]
+                return values
+
+            y += gather(t.image_prefix, 2) * prod
+            prod *= gather(t.image_mass, 3)
             if dlog is not None:
-                dlog += t.log_ratio[idx]
-            x -= t.prefix[idx]
-            x /= t.mass[idx]
-            # x >= prefix[idx], so only the upper end needs clamping
+                dlog += gather(t.log_ratio, 4)
+            x -= gather(t.prefix, 0)
+            x /= gather(t.mass, 1)
+            # x >= prefix, so only the upper end needs clamping
             np.fmin(x, _BELOW_ONE, out=x)
-            if live is not None:
-                done = prod < _RESOLUTION
-                if done.any():
-                    out[live[done]] = y[done] + prod[done] * t.tail_const
-                    keep = ~done
-                    # one at a time, so at most one dropped array waits for release
-                    live = live[keep]
-                    x = x[keep]
-                    y = y[keep]
-                    prod = prod[keep]
-    y += prod * t.tail_const
-    if live is not None:
-        out[live] = y
+            if out is None:
+                continue
+            done = np.flatnonzero(prod < _RESOLUTION)
+            if done.size:
+                out[_positions(live, done)] = y.take(done) + prod.take(done) * t.tail_const
+                prod[done] = np.inf  # frozen: never below _RESOLUTION again
+                frozen += done.size
+                if frozen >= _COMPACT_SHARE * prod.size:
+                    keep = np.flatnonzero(np.isfinite(prod))
+                    if not keep.size:
+                        break  # every value is written
+                    live, x, y, prod = _positions(live, keep), x.take(keep), y.take(keep), prod.take(keep)
+                    frozen = 0
+    if out is None:
+        y += prod * t.tail_const
+        out = y
+    else:
+        keep = np.flatnonzero(np.isfinite(prod))
+        out[_positions(live, keep)] = y.take(keep) + prod.take(keep) * t.tail_const
     np.fmin(out, _BELOW_ONE, out=out)
     out = out.reshape(shape)
     return (out, dlog.reshape(shape)) if with_log_derivative else out
@@ -224,10 +313,19 @@ def log_derivative_paths(
     rows = max(1, _CHUNK // depth)
     for start in range(0, paths, rows):
         stop = min(start + rows, paths)
-        u = rng.random((stop - start, depth))
-        idx = _digit_index(t, u.reshape(-1)).reshape(u.shape)
-        out[start:stop] = t.log_ratio[idx].mean(axis=1)
+        # row-major: the same draws as a (rows, depth) array
+        ratio = _log_ratios(t, rng.random((stop - start) * depth))
+        out[start:stop] = ratio.reshape(stop - start, depth).mean(axis=1)
     return out
+
+
+def _log_ratios(t: _FloatTables, u: np.ndarray) -> np.ndarray:
+    """ln(target.p(phi(n)) / source.p(n)) at the first digit n of each u."""
+    idx, far = _digit_index(t, u)
+    ratio = t.log_ratio.take(idx)
+    if far.size:
+        ratio[far] = _past_tables(t, u.take(far))[4]
+    return ratio
 
 
 def sample_rows(

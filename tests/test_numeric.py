@@ -15,6 +15,7 @@ from probdigit import (
     Identity,
     MixedHeadTail,
     PairSwap,
+    TablePermutation,
     closed_form_integral,
     expected_log_ratio,
 )
@@ -30,8 +31,12 @@ F = Fraction
 
 
 def test_float_path_tracks_exact_values(swap_remap, table_remap):
-    for remap in (swap_remap, table_remap):
-        xs = [F(n, 257) for n in range(0, 257, 13)]
+    # slow tails read most digits past 64; the 70-digit head puts digits 65..71
+    # just above k/256, and its tables reach digit 70, where its closed form starts
+    slow_swap = DigitRemap(Geometric(F(99, 100)), Geometric(F(199, 200)), PairSwap())
+    head70 = DigitRemap(MixedHeadTail((F(1, 256),) * 70, F(99, 100)), Geometric(F(199, 200)), PairSwap())
+    for remap in (swap_remap, table_remap, slow_swap, head70):
+        xs = [F(n, 257) for n in range(0, 257, 13)] + [F(k, 256) + F(1, 1000) for k in range(64, 71)]
         got = remap_values(remap, np.array([float(x) for x in xs]), depth=48)
         for x, y in zip(xs, got):
             exact = remap.apply(x, 40)
@@ -85,8 +90,8 @@ def test_identity_sample_rows_reproduce_the_grid(identity_remap):
 
 
 def searched_index(prefix, x):
-    """Reference digit lookup: binary search, clamped at the digit cap."""
-    return np.minimum(np.searchsorted(prefix, x, side="right"), numeric.DIGIT_CAP) - 1
+    """Reference digit lookup: binary search, clamped at the last table digit."""
+    return np.minimum(np.searchsorted(prefix, x, side="right"), prefix.size - 1) - 1
 
 
 def fixed_depth_values(remap, xs, depth=48):
@@ -101,6 +106,41 @@ def fixed_depth_values(remap, xs, depth=48):
         prod *= t.image_mass[idx]
         x = np.clip((x - t.prefix[idx]) / t.mass[idx], 0.0, numeric._BELOW_ONE)
     return y + prod * t.tail_const
+
+
+def clamped_remap_values(remap, xs, depth=48, with_log_derivative=False):
+    """Reference: the loop that compacted its arrays at every step where a
+    point stopped and clamped every digit past the tables to the last table
+    digit.  Returns its values (and log derivatives), and the mask of points
+    that read a digit past the tables at some step, where it is wrong."""
+    t = numeric._tables(remap)
+    x = np.clip(np.asarray(xs, dtype=float), 0.0, numeric._BELOW_ONE)
+    out = y = np.zeros_like(x)
+    prod = np.ones_like(x)
+    dlog = np.zeros_like(x)
+    live = np.arange(x.size)
+    past = np.zeros(x.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(depth):
+            past[live] |= x >= t.prefix[-1]
+            idx = searched_index(t.prefix, x)
+            y += t.image_prefix[idx] * prod
+            prod *= t.image_mass[idx]
+            x -= t.prefix[idx]
+            x /= t.mass[idx]
+            np.fmin(x, numeric._BELOW_ONE, out=x)
+            if with_log_derivative:
+                dlog += t.log_ratio[idx]
+                continue
+            done = prod < numeric._RESOLUTION
+            if done.any():
+                out[live[done]] = y[done] + prod[done] * t.tail_const
+                keep = ~done
+                live, x, y, prod = live[keep], x[keep], y[keep], prod[keep]
+    y += prod * t.tail_const
+    out[live] = y
+    np.fmin(out, numeric._BELOW_ONE, out=out)
+    return (out, dlog, past) if with_log_derivative else (out, past)
 
 
 def test_early_stop_stays_within_float_resolution(swap_remap, table_remap, identity_remap):
@@ -207,7 +247,52 @@ def test_bucket_lookup_matches_binary_search(source, seed):
         ]
     )
     x = np.clip(x, 0.0, numeric._BELOW_ONE)
-    assert np.array_equal(numeric._digit_index(t, x), searched_index(t.prefix, x))
+    idx, past = numeric._digit_index(t, x)
+    assert np.array_equal(idx, searched_index(t.prefix, x))
+    assert np.array_equal(past, np.flatnonzero(x >= t.prefix[-1]))
+
+
+# digit 2's mass underflows to 0.0, yet its float interval is one ulp wide:
+# prefix(2) sits just below a rounding midpoint and prefix(3) just above, so
+# x = 1/4 reads digit 2 and shifts to 0/0
+underflowing = MixedHeadTail((F(1, 4) + F(1, 2**55) - F(1, 10**401), F(1, 10**400)), F(1, 2))
+# a head past digit 64 makes the tables longer, and its last digit's float interval is empty
+long_head = MixedHeadTail((F(1, 128),) * 63 + (F(1, 10**400),), F(1, 2))
+oracle_maps = st.sampled_from(
+    [Identity(), PairSwap(), TablePermutation((2, 1)), TablePermutation((3, 1, 2)), TablePermutation((2, 4, 1, 3))]
+)
+
+
+@given(
+    st.one_of(lookup_families, st.sampled_from([underflowing, long_head])),
+    lookup_families,
+    oracle_maps,
+    st.sampled_from([8, 48]),
+    st.booleans(),
+    st.integers(2000, 6000),
+    st.integers(0, 2**32 - 1),
+)
+@settings(deadline=None, max_examples=40)
+def test_values_equal_the_clamped_loop_off_the_past_cap_points(
+    source, target, phi, depth, with_log_derivative, size, seed
+):
+    # thousands of points finishing step by step freeze a quarter of the
+    # arrays, and so compact them, several times over
+    remap = DigitRemap(source, target, phi)
+    prefix = numeric._tables(remap).prefix
+    xs = np.concatenate(
+        [
+            [0.0, numeric._BELOW_ONE],
+            prefix,
+            np.nextafter(prefix, 0.0),
+            np.nextafter(prefix, 1.0),
+            np.random.default_rng(seed).random(size),
+        ]
+    )
+    got = remap_values(remap, xs, depth, with_log_derivative)
+    *want, past = clamped_remap_values(remap, xs, depth, with_log_derivative)
+    for a, b in zip(got if with_log_derivative else [got], want):
+        assert np.array_equal(a[~past], b[~past])
 
 
 def test_remap_values_refuses_nan_and_clamps_infinities(swap_remap):
@@ -219,10 +304,10 @@ def test_remap_values_refuses_nan_and_clamps_infinities(swap_remap):
 
 
 def test_a_mass_that_underflows_keeps_points_in_range():
-    # digit 64 has float mass 0.0 but starts below 1, so x = prefix(64) shifts to 0/0
-    source = MixedHeadTail((F(1, 128),) * 63 + (F(1, 10**400),), F(1, 2))
-    remap = DigitRemap(source, source, PairSwap())  # digit 64 reads on: its image mass is 1/128
-    xs = np.array([numeric._tables(remap).prefix[63], 0.7])
+    remap = DigitRemap(underflowing, underflowing, PairSwap())  # digit 2 reads on: its image mass is about 1/4
+    t = numeric._tables(remap)
+    assert t.mass[1] == 0.0 and t.prefix[1] < t.prefix[2]
+    xs = np.array([t.prefix[1], 0.7])
     got = remap_values(remap, xs)
     with np.errstate(divide="ignore", invalid="ignore"):
         want = fixed_depth_values(remap, xs)
@@ -240,3 +325,31 @@ def test_an_image_that_rounds_up_to_one_stays_below_one():
 def test_log_derivative_paths_refuse_empty_sizes(swap_remap, paths, depth):
     with pytest.raises(ValueError, match="at least 1"):
         log_derivative_paths(swap_remap, paths=paths, depth=depth)
+
+
+# a tail whose mass past digit 64 is most of the mass: 0.999**64 = 0.94, 0.99**64 = 0.53
+slow = Geometric(F(999, 1000))
+
+
+def test_slow_tail_identity_integrates_to_one_half():
+    mc = monte_carlo_integral(DigitRemap(slow, slow, Identity()), samples=20_000, seed=7)
+    assert abs(mc.mean - 0.5) < 5 * mc.std_error
+
+
+def test_slow_tail_identity_samples_the_diagonal():
+    xs, ys, dlog = sample_rows(DigitRemap(slow, slow, Identity()), 1000)
+    assert np.max(np.abs(ys - xs)) < 1e-12
+    assert np.array_equal(dlog, np.zeros(1000))
+
+
+def test_slow_tail_pair_swap_agrees_with_closed_form():
+    remap = DigitRemap(Geometric(F(99, 100)), Geometric(F(199, 200)), PairSwap())
+    mc = monte_carlo_integral(remap, samples=50_000, seed=7)
+    assert abs(mc.mean - float(closed_form_integral(remap).value)) < 5 * mc.std_error
+
+
+def test_slow_tail_log_paths_concentrate_on_the_exact_law():
+    remap = DigitRemap(Geometric(F(99, 100)), Geometric(F(199, 200)), PairSwap())
+    mean, sd = expected_log_ratio(remap)
+    paths = log_derivative_paths(remap, paths=20, depth=4_000, seed=3)
+    assert np.all(np.abs(paths - mean) < 4 * sd / math.sqrt(4_000))
