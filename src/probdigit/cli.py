@@ -12,7 +12,8 @@ Each command takes the flags it reads, and all take `--p`, `--o`, `--phi` and
 
 Exit codes: 0 success, 1 invariant failure (selfcheck), 2 usage or domain
 error, 3 numerical self-check failure (closed form outside the bracket),
-4 I/O error.
+4 I/O error.  The bracket is built from the closed form's sums (A, B), so it
+holds A / (1 - B) unless A + B > 1, which correct sums never reach.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import DigitSeq, ONE, log_rational
-from .remap import DigitRemap, _eventual_classes
+from .remap import DigitRemap
 
 
 def derivative_ratio(remap: DigitRemap, digit: int) -> Fraction:
@@ -155,33 +155,30 @@ def expected_log_ratio(remap: DigitRemap) -> LogRatioDiagnostic:
     source-typical digit sequences (the inverse remap then blows up); zero
     means the two sides assign identical mass to every rewritten digit.
 
-    Each digit before the `_eventual_classes` start is a class of one.  From
-    there on the digits j0 + k * period of a residue class have weight
-    p_j0 * q**k and log ratio level + k * slope, with level = ln(ratio_j0)
-    and slope = ln(t / q), so the class index k is geometric and the class
-    has weight p_j0 / (1 - q), mean level + slope * q / (1 - q) (summed
-    exactly from the float logs, then rounded once) and spread
-    |slope| * sqrt(q) / (1 - q).  The mean is the weighted sum of the class
-    means; the std is one hypot over each class's offset from it and its
-    spread, times the root of the exact class weight (precise below floats).
-    A slope of exactly 0 keeps every class constant, however near 1 q lies.
+    The classes are those of `DigitRemap._classes`.  From its start on the
+    digits j0 + k * period of a class have weight p_j0 * q**k and log ratio
+    level + k * slope, with level = ln(ratio_j0) and slope = ln(t / q), so
+    the class index k is geometric and the class has weight p_j0 / (1 - q),
+    mean level + slope * q / (1 - q) (summed exactly from the float logs,
+    then rounded once) and spread |slope| * sqrt(q) / (1 - q).  The mean is
+    the weighted sum of the class means; the std is one hypot over each
+    class's offset from it and its spread, times the root of the exact class
+    weight (precise below floats).  A slope of exactly 0 keeps every class
+    constant, however near 1 q lies.
 
     Weights, class means and their products are rounded floats, so the mean
     is accurate to about 1e-16 of sum p_j |ln ratio_j|, not of the mean
     itself: for Geometric(1 - 10**-20) onto itself under the pair swap it
     reads -1e-40 against the exact -5e-41.
     """
-    start, period, q, t = _eventual_classes(remap)
+    start, period, q, t, rows = remap._classes
     slope = Fraction(log_rational(t / q))
     # divide exactly before rounding: near q = 1, float(1 - q) may be 0
     drift, spread = slope * q / (ONE - q), float(abs(slope) / (ONE - q)) * _sqrt(q)
-    classes = []  # (exact weight, mean, spread) per class; a digit before `start` is a class of one
-    for j in range(1, start + period):
-        level = log_rational(derivative_ratio(remap, j))
-        if j < start:
-            classes.append((remap.source.p(j), level, 0.0))
-        else:
-            classes.append((remap.source.p(j) / (ONE - q), float(Fraction(level) + drift), spread))
+    # (exact weight, mean, spread) per class, first the digits before the start
+    classes = [(pj, log_rational(o / pj), 0.0) for pj, _, o, _ in rows[: start - 1]]
+    for pj, _, o, _ in rows[start - 1 :]:
+        classes.append((pj / (ONE - q), float(Fraction(log_rational(o / pj)) + drift), spread))
     mean = math.fsum(float(w) * m for w, m, _ in classes)
     # a list: unpacking a generator resizes a tuple, which grew peak RSS 1 MB in 16000 calls
     std = math.hypot(*[_sqrt(w) * x for w, m, s in classes for x in (m - mean, s)])

@@ -37,6 +37,9 @@ shifted point is known only to about ulp(1) / p_n, and its later digits are
 coarse when p_n is small.  That is no worse than the input's own resolution:
 x names a point only to within ulp(1), and that interval shifts to one
 ulp(1) / p_n wide, which the image cylinder of digit n scales back down.
+A point within rounding of a digit boundary, where the remap jumps, may take
+either one-sided value.  Grids i / count hold such points when count is a
+multiple of a power of a ratio's denominator (500 = 4 * 125, ratio 3/5).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DIGIT_CAP, constant_point, log_rational
-from .remap import DigitRemap, _eventual_classes
+from .remap import DigitRemap
 
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 _RESOLUTION = 2.0**-53  # an image cylinder this narrow pins a value in [0, 1) to float precision
@@ -90,7 +93,7 @@ def _tables(remap: DigitRemap) -> _FloatTables:
 
 def _build_tables(remap: DigitRemap) -> _FloatTables:
     src, tgt, phi = remap.source, remap.target, remap.digit_map
-    start, period, q, t = _eventual_classes(remap)
+    start, period, q, t, rows = remap._classes
     size = max(DIGIT_CAP, start - 1)  # every digit past the tables is in closed form
     prefix = np.array([float(src.prefix(n)) for n in range(1, size + 2)])
     mass = np.array([float(src.p(n)) for n in range(1, size + 1)])
@@ -114,8 +117,8 @@ def _build_tables(remap: DigitRemap) -> _FloatTables:
     bucket_index = np.where(plain, first, -1)
     bucket_next = np.where(plain & (spread == 1), prefix[first + 1], np.inf)
     class_logs = np.array([
-        [log_rational(v) for v in (src.tail_mass(j), src.p(j), tgt.tail_mass(m), tgt.p(m), tgt.p(m) / src.p(j))]
-        for j, m in ((j, phi.apply(j)) for j in range(start, start + period))
+        [log_rational(v) for v in (tail, pj, image_tail, o, o / pj)]
+        for pj, tail, o, image_tail in rows[start - 1 :]
     ])
     class_slopes = np.array([log_rational(r) for r in (q, q, t, t, t / q)])
     arrays = (prefix, mass, image_prefix, image_mass, log_ratio)
@@ -331,8 +334,8 @@ def _log_ratios(t: _FloatTables, u: np.ndarray) -> np.ndarray:
 def sample_rows(
     remap: DigitRemap, count: int, depth: int = 48
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic plot grid: x_i = i / count with the remapped value and the
-    log cylinder derivative at the configured depth."""
+    """Deterministic plot grid: x_i = i / count with the remapped value and log
+    cylinder derivative at `depth`, either side's at a digit boundary (see the module)."""
     if count < 1:
         raise ValueError("count must be at least 1")
     xs = np.arange(count, dtype=float) / count

@@ -15,10 +15,11 @@ integral over [0,1) has the closed form
 
 Under Lebesgue measure the source digits are i.i.d. with law p, so each
 series, whole or truncated, is a finite head plus `period` geometric residue
-classes, and one helper, `_digit_sums`, sums every such series per class in
-closed form.  The integral is computed here exactly, as a truncated sum with
-its tail bound, and as rigorous finite brackets, whose per-level recursion
-reads the same two whole series and is itself summed in closed form.
+classes, listed once by `DigitRemap._classes`, and one helper, `_digit_sums`,
+sums every such series per class in closed form.  The integral is computed
+here exactly, as a truncated sum with its tail bound, and as rigorous finite
+brackets, whose per-level recursion reads the same two whole series and is
+itself summed in closed form.
 """
 
 from __future__ import annotations
@@ -56,6 +57,26 @@ class DigitRemap:
 
     def __post_init__(self) -> None:
         verify_bijection(self.digit_map)
+
+    @cached_property
+    def _classes(self) -> tuple[int, int, Fraction, Fraction, tuple[tuple[Fraction, ...], ...]]:
+        """(start, period, q, t, rows): the residue classes every series of the
+        remap sums over.  From digit `start` on, along a class j, j + period,
+        j + 2 * period, ... of the digit map's eventual period, the source mass
+        and tail mass at j scale by q and the target mass and tail mass at
+        phi(j) by t, the family ratios to the power period.  Row j - 1 holds
+        (p_j, tail_source(j), o_phi(j), tail_target(phi(j))) for j = 1 ..
+        start + period - 1: a digit before `start` is a class of one; each
+        later row stands for its class and scales by q and t."""
+        sv, tv = self.source.value_form(), self.target.value_form()
+        start, period, offsets = self.digit_map.eventual_structure()
+        start = max(sv.start, start, tv.start + max(abs(c) for c in offsets))
+        rows, tail = [], ONE
+        for j in range(1, start + period):
+            pj, m = self.source.p(j), self.digit_map.apply(j)
+            rows.append((pj, tail, self.target.p(m), self.target.tail_mass(m)))
+            tail -= pj
+        return start, period, sv.ratio**period, tv.ratio**period, tuple(rows)
 
     @cached_property
     def _sums(self) -> tuple[Fraction, Fraction]:
@@ -155,47 +176,25 @@ class IntegralBracket(NamedTuple):
         return self.lower <= x <= self.upper
 
 
-def _eventual_classes(remap: DigitRemap) -> tuple[int, int, Fraction, Fraction]:
-    """(start, period, q, t): from digit `start` on, the source masses, the
-    digit map and the target forms at phi(j) are all in closed form, so along
-    each residue class j, j + period, j + 2 * period, ... of the map's
-    eventual period, p_j and the target mass and tail mass at phi(j) each
-    scale by q (source) or t (target), the family ratios to the power period.
-    """
-    sv = remap.source.value_form()
-    tv = remap.target.value_form()
-    start, period, offsets = remap.digit_map.eventual_structure()
-    start = max(sv.start, start, tv.start + max(abs(c) for c in offsets))
-    return start, period, sv.ratio**period, tv.ratio**period
-
-
 def _digit_sums(remap: DigitRemap, count: int | None = None) -> tuple[Fraction, Fraction]:
     """(sum prefix_target(phi(j)) p_j, sum p_target(phi(j)) p_j) over the
     digits j = 1..count, or over every digit when count is None.
 
-    With o_m the target mass and tail_target(m) = 1 - prefix_target(m), the
-    prefix sum is the source mass of the digits summed, prefix(count + 1) or
-    1, minus sum tail_target(phi(j)) p_j.  From the `_eventual_classes` start
-    on, p_j o_phi(j) and p_j tail_target(phi(j)) both scale by qt along a
-    residue class, so the K digits j0, j0 + period, ... up to count of one
-    class add p_j0 o_m (1 - (qt)^K) / (1 - qt) and
-    p_j0 tail_target(m) (1 - (qt)^K) / (1 - qt), with m = phi(j0); count None
-    is K infinite, where the power vanishes.  Each digit before the start is
-    a class of its own, K = 1.
+    The prefix sum is the source mass of the digits summed, prefix(count + 1)
+    or 1, minus sum tail_target(phi(j)) p_j.  Both summands scale by qt along
+    a class of `DigitRemap._classes`, so a class's K digits up to count add
+    its row's terms times (1 - (qt)^K) / (1 - qt): K is infinite for count
+    None, where the power vanishes, and 1 for a row before the start.
     """
-    src, tgt, phi = remap.source, remap.target, remap.digit_map
-    start, period, q, t = _eventual_classes(remap)
+    start, period, q, t, rows = remap._classes
     qt = q * t
-    end = start + period if count is None else min(count + 1, start + period)
     s_tail = s_mass = ZERO
-    for j in range(1, end):
-        pj = src.p(j)
+    for j, (pj, _, o, tail) in enumerate(rows[:count], 1):
         if j >= start:  # times the K terms 1, qt, ..., (qt)^(K-1) of the class of j
             pj *= (ONE if count is None else ONE - qt ** ((count - j) // period + 1)) / (ONE - qt)
-        m = phi.apply(j)
-        s_mass += pj * tgt.p(m)
-        s_tail += pj * tgt.tail_mass(m)
-    summed = ONE if count is None else src.prefix(count + 1)
+        s_mass += pj * o
+        s_tail += pj * tail
+    summed = ONE if count is None else remap.source.prefix(count + 1)
     return summed - s_tail, s_mass
 
 
@@ -241,7 +240,7 @@ def closed_form_integral(
     if n < 1:
         raise ValueError("terms must be at least 1")
     if terms is not None:
-        start, period, q, t = _eventual_classes(remap)
+        start, period, q, t, _ = remap._classes
         bits = max(q.denominator.bit_length(), (q * t).denominator.bit_length())
         most = start - 1 + MAX_PREFIX_BITS // bits * period
         if n > most:

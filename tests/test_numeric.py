@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from probdigit import (
     DigitRemap,
+    DigitSeq,
     Geometric,
     Identity,
     MixedHeadTail,
     PairSwap,
     TablePermutation,
     closed_form_integral,
+    cylinder,
     expected_log_ratio,
 )
 from probdigit import numeric
@@ -87,6 +89,23 @@ def test_identity_sample_rows_reproduce_the_grid(identity_remap):
     xs, ys, dlog = sample_rows(identity_remap, 16, depth=48)
     assert np.allclose(ys, xs, atol=1e-12)
     assert np.allclose(dlog, 0.0)
+
+
+def test_a_grid_point_within_rounding_of_a_digit_boundary_reads_one_side():
+    # 500 = 4 * 125, so the grid holds 0.064, which rounds to 1.3e-18 above the
+    # boundary 8/125 = (1, 1, 2, 1, 1, ...) of Geometric(3/5).  f jumps there:
+    # f(8/125) = 65/96 from the right, and the digits (1, 1, 1, n), n unbounded,
+    # approach it from the left, with images filling the target cylinder of
+    # (2, 2, 2) up to its top, 43/64.  The float shift rounds x / p_1 below
+    # the boundary 2/5 and reads the left-hand path, so its y is that one-sided
+    # value; either side is a right answer to the input's rounding.
+    remap = DigitRemap(Geometric(F(3, 5)), Geometric(F(1, 2)), TablePermutation((2, 3, 1)))
+    xs, ys, _ = sample_rows(remap, 500)
+    assert xs[32] == 0.064 and 0 < F(xs[32]) - F(8, 125) < F(1, 2**59)
+    right = remap.apply(F(8, 125)).value
+    left = cylinder(remap.target, remap.image_digits(DigitSeq.of(1, 1, 1))).hi
+    assert (left, right) == (F(43, 64), F(65, 96))
+    assert min(abs(ys[32] - float(side)) for side in (left, right)) <= 1e-12
 
 
 def searched_index(prefix, x):

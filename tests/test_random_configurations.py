@@ -9,7 +9,9 @@ also from the raw class moments sum_k k**i q**k.  The bracket over every
 digit must also lie inside the older bracket over digits up to 64 plus a
 band.  It reads the order witnesses off the digit map and classifies a point
 from one sign per digit; the oracles evaluate and compare every one-digit
-point and keep three counters per position."""
+point and keep three counters per position.  The class table every series
+reads is checked against the class head computed apart from it and against
+the per-digit masses."""
 
 import itertools
 import math
@@ -35,7 +37,7 @@ from probdigit import (
 )
 from probdigit.core import ONE, ZERO, log_rational
 from probdigit.derivative import PointClassification, Verdict, classify_point, derivative_ratio
-from probdigit.remap import _digit_sums, _eventual_classes, _terms_for_tolerance
+from probdigit.remap import _digit_sums, _terms_for_tolerance
 
 F = Fraction
 
@@ -79,6 +81,31 @@ slow_or_any = st.one_of(
 slow_remaps = st.builds(DigitRemap, slow_or_any, slow_or_any, digit_maps(12))
 
 
+def eventual_classes(remap):
+    """(start, period, q, t), computed apart from the class table: from digit
+    `start` on, the source masses, the digit map and the target forms at
+    phi(j) are all in closed form, so along each residue class of the map's
+    eventual period they scale by q (source) or t (target), the family
+    ratios to the power period."""
+    sv = remap.source.value_form()
+    tv = remap.target.value_form()
+    start, period, offsets = remap.digit_map.eventual_structure()
+    start = max(sv.start, start, tv.start + max(abs(c) for c in offsets))
+    return start, period, sv.ratio**period, tv.ratio**period
+
+
+@given(wide_remaps)
+@settings(deadline=None, max_examples=60)
+def test_class_table_holds_each_representative_digit(remap):
+    src, tgt, phi = remap.source, remap.target, remap.digit_map
+    start, period, q, t, rows = remap._classes
+    assert (start, period, q, t) == eventual_classes(remap)
+    assert rows == tuple(
+        (src.p(j), src.tail_mass(j), tgt.p(phi.apply(j)), tgt.tail_mass(phi.apply(j)))
+        for j in range(1, start + period)
+    )
+
+
 def partial_sums(remap, count):
     """[(sum prefix_target(phi(j)) p_j, sum p_target(phi(j)) p_j) over
     j = 1..n for n = 0..count], adding one digit at a time."""
@@ -92,7 +119,7 @@ def partial_sums(remap, count):
 
 
 def assert_partial_sums_equal_the_digit_by_digit_sums(remap):
-    start, period, _, _ = _eventual_classes(remap)
+    start, period, _, _ = eventual_classes(remap)
     sums = partial_sums(remap, 257)
     for n in [*range(start + 2 * period + 2), 64, 257]:
         assert _digit_sums(remap, n) == sums[n]
@@ -194,7 +221,7 @@ def moment_log_ratio_law(remap):
     p_j0 sum_k k**i q**k (i = 0, 1, 2), the logs and moments scaled by powers
     of two so that the squared terms fit a float, then scaled back."""
     src = remap.source
-    start, period, q, t = _eventual_classes(remap)
+    start, period, q, t = eventual_classes(remap)
     step = t / q
     classes = [(src.p(j), ZERO, ZERO, derivative_ratio(remap, j)) for j in range(1, start)]
     for j0 in range(start, start + period):

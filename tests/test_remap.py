@@ -25,6 +25,7 @@ from probdigit import (
     closed_form_integral,
     cylinder,
     decode,
+    expected_log_ratio,
     integral_bracket,
     monotonicity_witnesses,
 )
@@ -319,6 +320,31 @@ class TestIntegralBracket:
         for remap in remaps:
             value = closed_form_integral(remap).value
             assert integral_bracket(remap, 7).contains(value)
+
+
+class CountingTable(TablePermutation):
+    """A table map that counts its `apply` calls."""
+
+    calls = 0
+
+    def apply(self, n: int) -> int:
+        type(self).calls += 1
+        return super().apply(n)
+
+
+def test_the_series_map_each_class_representative_once(mixed):
+    # start = max(mixed head 3, table head 5) = 5 and period 1: four digits
+    # before the start, each a class of one, and one geometric class
+    remap = DigitRemap(mixed, Geometric(F(2, 3)), CountingTable((3, 1, 4, 2)))
+    CountingTable.calls = 0  # construction checks the bijection
+    closed_form_integral(remap)
+    closed_form_integral(remap, exact=False)
+    integral_bracket(remap, 8)
+    integral_bracket(remap, 32)
+    expected_log_ratio(remap)
+    start, period, *_ = remap._classes
+    assert (start, period) == (5, 1)
+    assert CountingTable.calls == start + period - 1
 
 
 class TestContinuityModulus:
