@@ -19,12 +19,17 @@ are identities rather than approximations; the float fast path lives in
 each digit, the constant tail's too, as one integer triple, and build a
 `Fraction` only at the end; since `Fraction` normalizes, the results are the
 values step-by-step `Fraction` arithmetic gives, without a gcd on every step.
+`decode` reads digits in blocks: it guesses a run of digits in floats, then
+confirms the whole run with one exact test that the point lies in the
+cylinder the run spans.  The cylinders of one depth partition [0, 1), so a
+confirmed run is what one exact step per digit reads; every digit no block
+confirms takes that exact step.
 
 Nearly every digit read is small (digits are i.i.d. with the weight law), so
 each family computes its exact p(n) and prefix(n) for n <= DIGIT_CAP + 1 once
-and keeps them, along with their integer form for `decode` and `evaluate`,
-each filled the first time that digit is used.  Larger digits are computed on
-every call and never stored.
+and keeps them, along with their integer form for `decode` and `evaluate`
+and its two floats for decode's guess, each filled the first time that digit
+is used.  Larger digits are computed on every call and never stored.
 """
 
 from __future__ import annotations
@@ -46,6 +51,11 @@ MAX_PREFIX_BITS = 1 << 18  # bit budget of one exact prefix; see ProbVector.digi
 # Digits 1..DIGIT_CAP + 1 are the head: memoized exactly per family and
 # enumerated one by one by the float path
 DIGIT_CAP = 64
+# decode's float guess (ProbVector._guess_block): a block ends before its float
+# width drops below _BLOCK_WIDTH, and each digit adds _ROUNDING to the bound on
+# the float point's error, for the rounding of its cylinder ends and its step
+_BLOCK_WIDTH = 2.0**-40
+_ROUNDING = 2.0**-49
 
 
 def parse_rational(text: str) -> Fraction:
@@ -166,34 +176,33 @@ class ProbVector:
         return GeometricForm(start, coeff / (ONE - ratio), ratio)
 
     @cached_property
-    def _int_head(self) -> dict[int, tuple[int, int, int]]:
+    def _int_head(self) -> dict[int, tuple[int, int, int, float, float]]:
         # the integer table: digit n <= DIGIT_CAP + 1 -> _int_entry(n), filled on first use
         return {}
 
-    def _int_entry(self, n: int) -> tuple[int, int, int]:
+    def _int_entry(self, n: int) -> tuple[int, int, int, float, float]:
         """prefix(n) = a/e and p(n) = c/e over one common denominator, as the
-        integers (a, c, e); digits up to DIGIT_CAP + 1 are kept in `_int_head`."""
+        integers (a, c, e), then both rounded to floats for `_guess_block`;
+        digits up to DIGIT_CAP + 1 are kept in `_int_head`."""
         entry = self._int_head.get(n)
         if entry is None:
             prefix, mass = self.prefix(n), self.p(n)
             e = math.lcm(prefix.denominator, mass.denominator)
-            entry = (
-                prefix.numerator * (e // prefix.denominator),
-                mass.numerator * (e // mass.denominator),
-                e,
-            )
+            a = prefix.numerator * (e // prefix.denominator)
+            c = mass.numerator * (e // mass.denominator)
+            entry = (a, c, e, a / e, c / e)
             if n <= DIGIT_CAP + 1:
                 self._int_head[n] = entry
         return entry
 
     @cached_property
-    def _digit_search(self) -> tuple[float, float, int]:
+    def _digit_search(self) -> tuple[float, float, int, int]:
         # ln coeff and ln ratio of the prefix form (the log of a ratio within
-        # float precision of 1 is kept negative), and max digit: past
-        # `start`, each digit adds the bits of the ratio's denominator
+        # float precision of 1 is kept negative), max digit: past `start`,
+        # each digit adds the bits of the ratio's denominator, and `start`
         start, coeff, ratio = self.prefix_form()
         max_digit = start + MAX_PREFIX_BITS // ratio.denominator.bit_length()
-        return log_rational(coeff), min(log_rational(ratio), -math.ulp(0.0)), max_digit
+        return log_rational(coeff), min(log_rational(ratio), -math.ulp(0.0)), max_digit, start
 
     def digit_of(self, x: Rational) -> int:
         """The unique digit n with prefix(n) <= x < prefix(n+1).
@@ -216,20 +225,14 @@ class ProbVector:
         which is prefix(n) <= x < prefix(n+1) checked exactly; otherwise
         galloping up from the guess and bisection find the digit, comparing
         prefix(m) <= x by cross-multiplication.
-
-        With prefix(n) = a/e and p(n) = c/e the shifted point is
-        (num*e - a*den) / (den*c).  A prime that divides den cannot divide num,
-        so the part of den shared with the new numerator is gcd(den, e); what
-        is left to cancel divides c.  Two gcds against e and c, short beside
-        den, thus leave the pair in lowest terms as one gcd of the pair would.
         """
-        log_coeff, log_ratio, max_digit = self._digit_search
+        log_coeff, log_ratio, max_digit, _ = self._digit_search
         rem = (den - num) / den
         log_rem = math.log(rem) if rem > 0.0 else math.log(den - num) - math.log(den)
         n = math.floor(min(max((log_rem - log_coeff) / log_ratio, 1.0), max_digit))
-        a, c, e = self._int_entry(n)
-        rest, scale = num * e - a * den, den * c
-        if not 0 <= rest < scale:
+        a, c, e, _, _ = self._int_entry(n)
+        shifted = _into_cylinder(num, den, a, c, e)
+        if shifted is None:
             # invariant: prefix(lo) <= x < prefix(hi + 1)
             lo, hi = 1, n
             while self._prefix_at_most(hi + 1, num, den):
@@ -243,16 +246,64 @@ class ProbVector:
                 else:
                     hi = mid - 1
             n = lo
-            a, c, e = self._int_entry(n)
-            rest, scale = num * e - a * den, den * c
-        g = math.gcd(den, e)
-        rest, den = rest // g, den // g
-        h = math.gcd(rest, c)
-        return n, rest // h, den * (c // h)
+            a, c, e, _, _ = self._int_entry(n)
+            shifted = _into_cylinder(num, den, a, c, e)
+        return n, *shifted
 
     def _prefix_at_most(self, m: int, num: int, den: int) -> bool:
-        a, _, e = self._int_entry(m)
+        a, _, e, _, _ = self._int_entry(m)
         return a * den <= num * e
+
+    def _guess_block(self, xf: float, most: int) -> tuple[list[int], int, int, int]:
+        """Up to `most` digits of a point x guessed from xf, x rounded to a
+        float, and the cylinder they span as integers (a, c, e), accumulated
+        as `evaluate` does: it starts at a/e and is c/e wide.
+
+        err bounds the float point's distance from the true one: each digit
+        adds _ROUNDING, for the rounding of its float cylinder's ends and of
+        its step, and the step divides err by p.  A digit is taken only when
+        the float point lies more than err inside the digit's float cylinder
+        [prefix, prefix + p).  From the prefix form's start on, `_shift`'s
+        float inverse g of the form is the digit plus the point's place
+        inside it, so a g within the point's error of an integer ends the
+        block before that digit's entry is read; before the start the guess
+        walks up from digit 1.  The block also ends before a digit past
+        DIGIT_CAP + 1, which `_shift` reads exactly, and once the float width
+        falls below _BLOCK_WIDTH, where err nears 2**-9.  The digits are only
+        a guess; `decode` confirms them.
+        """
+        log_coeff, log_ratio, max_digit, start = self._digit_search
+        scale, top = -1.0 / log_ratio, min(max_digit, DIGIT_CAP + 1)
+        head, entry, log = self._int_head, self._int_entry, math.log
+        block, a, c, e = [], 0, 1, 1
+        width, err = 1.0, 0.0
+        while most and width >= _BLOCK_WIDTH:
+            err += _ROUNDING
+            rem = 1.0 - xf
+            if rem <= err:
+                break
+            g = (log_coeff - log(rem)) * scale
+            if g < start:
+                n = 1
+                an, cn, en, lo, m = head.get(1) or entry(1)
+                while xf >= lo + m and n < top:
+                    n += 1
+                    an, cn, en, lo, m = head.get(n) or entry(n)
+            elif g < top + 1:  # False for inf and nan too: a ratio within float precision of 1
+                n = int(g)
+                slop = err * scale / rem + 1e-12  # 1e-12: the rounding of the logs behind g
+                if g - slop < n or g + slop >= n + 1:
+                    break
+                an, cn, en, lo, m = head.get(n) or entry(n)
+            else:
+                break
+            if not lo + err <= xf < lo + m - err:
+                break
+            block.append(n)
+            a, c, e = a * en + an * c, c * cn, e * en
+            xf, err, width = (xf - lo) / m, err / m, width * m
+            most -= 1
+        return block, a, c, e
 
     def _canonical_key(self):
         start, coeff, ratio = self.value_form()
@@ -451,6 +502,25 @@ def constant_point(pv: ProbVector, digit: int) -> Fraction:
     return evaluate(pv, DigitSeq(tail=digit)).value
 
 
+def _into_cylinder(num: int, den: int, a: int, c: int, e: int) -> tuple[int, int] | None:
+    """(x - a/e) / (c/e) as a pair in lowest terms, for x = num/den in lowest
+    terms, or None when x lies outside the cylinder [a/e, (a + c)/e).
+
+    The shifted point is (num*e - a*den) / (den*c).  A prime that divides den
+    cannot divide num, so the part of den shared with the new numerator is
+    gcd(den, e); what is left to cancel divides c.  Two gcds against e and c,
+    short beside den, thus leave the pair in lowest terms as one gcd of the
+    pair would, whether (a, c, e) is one digit's triple or a block's.
+    """
+    rest = num * e - a * den
+    if not 0 <= rest < den * c:
+        return None
+    g = math.gcd(den, e)
+    rest, den = rest // g, den // g
+    h = math.gcd(rest, c)
+    return rest // h, den * (c // h)
+
+
 def evaluate(pv: ProbVector, seq: DigitSeq) -> Evaluation:
     """Exact value of a digit sequence, plus the width of its prefix cylinder;
     the constant tail t adds prefix(t) / (1 - p_t) = a / (e - c) from t's triple."""
@@ -458,30 +528,48 @@ def evaluate(pv: ProbVector, seq: DigitSeq) -> Evaluation:
     # value so far num/den, cylinder width so far mass/den, from the empty prefix
     num, mass, den = 0, 1, 1
     for n in seq.digits:
-        a, c, e = entry(n)
+        a, c, e, _, _ = entry(n)
         num = num * e + a * mass
         mass *= c
         den *= e
-    a, c, e = entry(seq.tail)  # the continuation fills its share of the cylinder
+    a, c, e, _, _ = entry(seq.tail)  # the continuation fills its share of the cylinder
     return Evaluation(Fraction(num * (e - c) + mass * a, den * (e - c)), Fraction(mass, den))
 
 
 def decode(pv: ProbVector, x: Rational, depth: int) -> DigitSeq:
     """First `depth` digits of x's expansion.
 
-    Each step picks the unique digit whose prefix interval contains the
-    current point (ties at the left endpoint stay with that digit, matching
-    the half-open cylinders) and rescales.  Exact: decode(evaluate(d)) == d.
+    Each digit is the unique one whose prefix interval contains the current
+    point (ties at the left endpoint stay with that digit, matching the
+    half-open cylinders), and the point is then rescaled.  The digits are
+    read in blocks: `ProbVector._guess_block` guesses a run of them in
+    floats, and one exact test, that x lies in the cylinder the run spans,
+    confirms the whole run; one rescale by that cylinder gives the next
+    point.  The depth-k cylinders partition [0, 1), so a confirmed run is
+    exactly the digits the one-digit steps would read.  A digit no block
+    confirms (the float point within rounding of a boundary, a digit past
+    DIGIT_CAP + 1, a ratio within float precision of 1) takes the exact
+    one-digit step `ProbVector._shift`.  The point 0 reads digit 1 forever.
+    Exact: decode(evaluate(d)) == d.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     x = _as_point(x)
     num, den = x.numerator, x.denominator
     digits = []
-    for _ in range(depth):
-        n, num, den = pv._shift(num, den)
-        digits.append(n)
-    return DigitSeq._unchecked(tuple(digits), 1)  # _shift returns digits >= 1
+    while len(digits) < depth:
+        if num == 0:  # prefix(1) == 0, so 0 shifts to itself by digit 1
+            digits += [1] * (depth - len(digits))
+            break
+        block, a, c, e = pv._guess_block(num / den, depth - len(digits))
+        shifted = _into_cylinder(num, den, a, c, e) if block else None
+        if shifted is None:
+            n, num, den = pv._shift(num, den)
+            digits.append(n)
+        else:
+            num, den = shifted
+            digits += block
+    return DigitSeq._unchecked(tuple(digits), 1)  # blocks and _shift give digits >= 1
 
 
 def shift_value(pv: ProbVector, x: Rational) -> Fraction:

@@ -176,12 +176,15 @@ class IntegralBracket(NamedTuple):
         return self.lower <= x <= self.upper
 
 
-def _digit_sums(remap: DigitRemap, count: int | None = None) -> tuple[Fraction, Fraction]:
+def _digit_sums(
+    remap: DigitRemap, count: int | None = None, summed: Fraction | None = None
+) -> tuple[Fraction, Fraction]:
     """(sum prefix_target(phi(j)) p_j, sum p_target(phi(j)) p_j) over the
     digits j = 1..count, or over every digit when count is None.
 
-    The prefix sum is the source mass of the digits summed, prefix(count + 1)
-    or 1, minus sum tail_target(phi(j)) p_j.  Both summands scale by qt along
+    The prefix sum is the source mass of the digits summed, `summed` when
+    the caller has it, else prefix(count + 1) or 1, minus
+    sum tail_target(phi(j)) p_j.  Both summands scale by qt along
     a class of `DigitRemap._classes`, so a class's K digits up to count add
     its row's terms times (1 - (qt)^K) / (1 - qt): K is infinite for count
     None, where the power vanishes, and 1 for a row before the start.
@@ -194,7 +197,8 @@ def _digit_sums(remap: DigitRemap, count: int | None = None) -> tuple[Fraction, 
             pj *= (ONE if count is None else ONE - qt ** ((count - j) // period + 1)) / (ONE - qt)
         s_mass += pj * o
         s_tail += pj * tail
-    summed = ONE if count is None else remap.source.prefix(count + 1)
+    if summed is None:
+        summed = ONE if count is None else remap.source.prefix(count + 1)
     return summed - s_tail, s_mass
 
 
@@ -204,12 +208,13 @@ _TOLERANCE = Fraction(1, 10**12)  # source tail mass a truncated closed form may
 def _terms_for_tolerance(src: ProbVector, tol: Fraction) -> int:
     """Fewest terms n >= 1 with tail_mass(n + 1) <= tol, i.e. with
     prefix(n + 1) >= 1 - tol: the digit of 1 - tol, or one less when that
-    digit's own prefix already equals 1 - tol."""
+    digit's own prefix already equals 1 - tol, which is when the point
+    shifted by the digit is 0."""
     if tol >= 1:
         return 1
-    x = ONE - Fraction(tol)
-    n = src.digit_of(x)
-    return n - 1 if n > 1 and src.prefix(n) == x else n
+    x = _as_point(ONE - Fraction(tol))
+    n, shifted, _ = src._shift(x.numerator, x.denominator)
+    return n - 1 if n > 1 and shifted == 0 else n
 
 
 def closed_form_integral(
@@ -245,8 +250,9 @@ def closed_form_integral(
         most = start - 1 + MAX_PREFIX_BITS // bits * period
         if n > most:
             raise DomainError(f"terms {n} exceeds {most}: its sums need over {MAX_PREFIX_BITS} bits")
-    s_pref, s_mass = _digit_sums(remap, n)
-    slack = remap.source.tail_mass(n + 1)
+    summed = remap.source.prefix(n + 1)
+    s_pref, s_mass = _digit_sums(remap, n, summed)
+    slack = ONE - summed
     denom_hi = ONE - s_mass
     lo = s_pref / denom_hi
     hi = (s_pref + slack) / (denom_hi - slack)

@@ -381,6 +381,78 @@ class TestAgainstFractionReference:
         assert set(pv._int_head) == set(digits) | {2}
 
 
+def stepwise_decode(pv, x, depth):
+    """Oracle: one exact `_shift` per digit, the loop `decode` ran before it
+    read digits in blocks."""
+    num, den = x.numerator, x.denominator
+    digits = []
+    for _ in range(depth):
+        n, num, den = pv._shift(num, den)
+        digits.append(n)
+    return DigitSeq(tuple(digits))
+
+
+# heads of DIGIT_CAP + 1 .. DIGIT_CAP + 16 masses 1/4k, 2/4k, 3/4k, ... summing near 1/2,
+# so the float guess walks a head past the memoized digits
+long_heads = st.tuples(st.integers(DIGIT_CAP + 1, DIGIT_CAP + 16), ratios).map(
+    lambda t: MixedHeadTail(tuple(F(1 + j % 3, 4 * t[0]) for j in range(t[0])), t[1])
+)
+# a point: a digit string's value (its left endpoint for tail 1, else a
+# constant tail), that value less 2**-k (just below a boundary, closer than
+# floats resolve), or a fraction
+points = st.one_of(
+    digit_strings.map(lambda seq: (seq, None)),
+    st.tuples(digit_strings, st.integers(54, 200)),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**12).filter(lambda x: x < 1),
+    st.just(1 - F(1, 2**3000)),  # 1 - x below float range: a first digit past the cap
+)
+
+
+class TestBlockDecode:
+    """decode guesses runs of digits in floats and confirms each run with one
+    exact cylinder test; what it returns is what one exact step per digit
+    returns, at boundaries, below float resolution and past the head too."""
+
+    @staticmethod
+    def assert_matches_stepwise(pv, point, choice):
+        length = 0
+        if isinstance(point, tuple):
+            seq, k = point
+            x, length = evaluate(pv, seq).value, len(seq)
+            if k is not None:
+                x = max(x - F(1, 2**k), F(0))
+        else:
+            x = point
+        depth = {"one": 1, "past": length + 2, "deep": 256}[choice]
+        fresh = dataclasses.replace(pv)  # the blocks fill the memo themselves
+        assert decode(fresh, x, depth) == stepwise_decode(pv, x, depth)
+
+    @given(st.one_of(vectors(), long_heads), points, st.sampled_from(("one", "past", "deep")))
+    @settings(deadline=None, max_examples=150)
+    def test_equals_one_exact_step_per_digit(self, pv, point, choice):
+        self.assert_matches_stepwise(pv, point, choice)
+
+    @given(edge_vectors, digit_strings, st.sampled_from(("one", "past", "deep")))
+    @settings(deadline=None, max_examples=50)
+    def test_equals_one_exact_step_per_digit_near_ratio_one(self, pv, seq, choice):
+        # a random point would have a first digit near 10**20, refused after
+        # a search through 2**18-bit prefixes, so these read digit strings only
+        self.assert_matches_stepwise(pv, (seq, None), choice)
+
+    def test_a_deep_decode_takes_few_exact_steps(self):
+        # the one-digit step is the fallback, not the rule
+        steps = []
+
+        class CountingGeometric(Geometric):
+            def _shift(self, num, den):
+                steps.append(num)
+                return super()._shift(num, den)
+
+        x = F(355, 1133)
+        assert decode(CountingGeometric(F(2, 3)), x, 256) == stepwise_decode(Geometric(F(2, 3)), x, 256)
+        assert len(steps) < 32
+
+
 class TestShift:
     def test_fixed_point_at_zero(self, half):
         assert shift_value(half, 0) == 0

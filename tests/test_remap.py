@@ -226,6 +226,24 @@ class TestClosedFormIntegral:
         # a float tolerance is compared exactly, as a Fraction would be
         assert _terms_for_tolerance(half, 1e-300) == 997
 
+    def test_truncated_sum_computes_each_deep_prefix_once(self):
+        # n = 263 lies past the memoized head, so every prefix there is a fresh
+        # power; the slack is 1 - prefix(n + 1), and prefix(n) == 1 - tol is
+        # read off the digit search's shifted point
+        calls = []
+
+        class CountingGeometric(Geometric):
+            def prefix(self, n):
+                calls.append(n)
+                return super().prefix(n)
+
+        remap = DigitRemap(CountingGeometric(F(9, 10)), Geometric(F(1, 2)), PairSwap())
+        for _ in ("cold", "warm"):
+            calls.clear()
+            result = closed_form_integral(remap, exact=False)
+            assert calls.count(263) <= 1 and calls.count(264) <= 1
+            assert result.tail_bound > 0
+
     def test_terms_past_the_bit_budget_are_refused(self, swap_remap):
         # period 2, q = (1/2)^2 and q t = 1/9: 4 bits per class term, and
         # 2^18 // 4 = 65536 terms per class
