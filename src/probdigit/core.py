@@ -25,11 +25,15 @@ cylinder the run spans.  The cylinders of one depth partition [0, 1), so a
 confirmed run is what one exact step per digit reads; every digit no block
 confirms takes that exact step.
 
-Nearly every digit read is small (digits are i.i.d. with the weight law), so
-each family computes its exact p(n) and prefix(n) for n <= DIGIT_CAP + 1 once
-and keeps them, along with their integer form for `decode` and `evaluate`
-and its two floats for decode's guess, each filled the first time that digit
-is used.  Larger digits are computed on every call and never stored.
+Each family reads digit n's integer triple, prefix(n) = a/e and p(n) = c/e
+over one denominator, straight off its integer closed form, without a
+`Fraction`; `decode`, `evaluate` and the series of `probdigit.remap` read
+only these triples.  Nearly every digit read is small (digits are i.i.d.
+with the weight law), so each family keeps the triple of each digit
+n <= DIGIT_CAP + 1, with its two floats for decode's guess, from the first
+time that digit is used, and likewise its exact p(n) and prefix(n) from the
+first time those are called.  Larger digits are computed on every call and
+never stored.
 """
 
 from __future__ import annotations
@@ -143,8 +147,9 @@ class ProbVector:
 
     Subclasses provide only validation, the exact per-digit mass ``p(j)``,
     the prefix sum ``prefix(n)`` (mass strictly below digit ``n``, so
-    ``prefix(1) == 0``), both wrapped in ``_head_memoized``, and the
-    eventually geometric ``value_form``.
+    ``prefix(1) == 0``), both wrapped in ``_head_memoized``, the same two
+    as one integer triple in ``_triple``, and the eventually geometric
+    ``value_form``.
     Everything else follows here: the complementary ``tail_mass``, the
     ``prefix_form``, and from it the float hint for the digit search.
     Instances are immutable and compare equal when they assign the same mass
@@ -180,16 +185,26 @@ class ProbVector:
         # the integer table: digit n <= DIGIT_CAP + 1 -> _int_entry(n), filled on first use
         return {}
 
+    def _triple(self, n: int) -> tuple[int, int, int]:
+        """prefix(n) = a/e and p(n) = c/e as integers (a, c, e) with no
+        common factor, from the family's closed form."""
+        raise NotImplementedError
+
     def _int_entry(self, n: int) -> tuple[int, int, int, float, float]:
-        """prefix(n) = a/e and p(n) = c/e over one common denominator, as the
-        integers (a, c, e), then both rounded to floats for `_guess_block`;
-        digits up to DIGIT_CAP + 1 are kept in `_int_head`."""
+        """(a, c, e, a/e, c/e): prefix(n) = a/e and p(n) = c/e as the family's
+        `_triple(n)`, read straight off its integer closed form, then both
+        rounded to floats for `_guess_block`; digits up to DIGIT_CAP + 1 are
+        kept in `_int_head`.  Neither `p` nor `prefix` is called, so their
+        memos fill only when they are.
+
+        e is the lcm of the lowest-term denominators of prefix(n) and p(n),
+        the triple these two Fractions would give: any common denominator of
+        both is that lcm times some k, and k then divides a, c and e, so a
+        triple without a common factor has k = 1.
+        """
         entry = self._int_head.get(n)
         if entry is None:
-            prefix, mass = self.prefix(n), self.p(n)
-            e = math.lcm(prefix.denominator, mass.denominator)
-            a = prefix.numerator * (e // prefix.denominator)
-            c = mass.numerator * (e // mass.denominator)
+            a, c, e = self._triple(n)
             entry = (a, c, e, a / e, c / e)
             if n <= DIGIT_CAP + 1:
                 self._int_head[n] = entry
@@ -321,6 +336,26 @@ class ProbVector:
         return hash(self._canonical_key())
 
 
+def _tail_triple(leftover: Fraction, q: Fraction, k: int) -> tuple[int, int, int]:
+    """`_triple` of digit k of a geometric tail that spreads mass l/d over
+    its digits in proportions (1 - q), (1 - q) q, ..., with q = u/v:
+
+        prefix = 1 - (l/d) q**(k-1),  mass = (l/d) (1 - q) q**(k-1)
+
+    over e = d v**k, so a = e - v w and c = (v - u) w with w = l u**(k-1).
+    The triple's common factor g = gcd(a, c, e) is gcd(e, w), as
+    gcd(v, v - u) = gcd(v, u) = 1, and since gcd(l, d) = 1 too it splits
+    into gcd(d, w) gcd(l, e): two gcds with a short operand, where one gcd
+    of the long a, c and e would cost quadratic time in their length.  A
+    geometric family (l = d = 1) has g = 1.
+    """
+    l, d = leftover.numerator, leftover.denominator
+    u, v = q.numerator, q.denominator
+    w, e = l * u ** (k - 1), d * v**k
+    g = math.gcd(d, w) * math.gcd(l, e)
+    return (e - v * w) // g, (v - u) * w // g, e // g
+
+
 @dataclass(frozen=True, eq=False)
 class Geometric(ProbVector):
     """Weights p_j = (1 - q) * q**(j-1); one ratio controls the whole family.
@@ -348,6 +383,9 @@ class Geometric(ProbVector):
 
     def value_form(self) -> GeometricForm:
         return GeometricForm(1, (ONE - self.q) / self.q, self.q)
+
+    def _triple(self, n: int) -> tuple[int, int, int]:
+        return _tail_triple(ONE, self.q, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,6 +441,14 @@ class MixedHeadTail(ProbVector):
         m = len(self.head)
         coeff = self._leftover * (ONE - self.tail_q) / self.tail_q ** (m + 1)
         return GeometricForm(m + 1, coeff, self.tail_q)
+
+    def _triple(self, n: int) -> tuple[int, int, int]:
+        m = len(self.head)
+        if n > m:
+            return _tail_triple(self._leftover, self.tail_q, n - m)
+        prefix, mass = self._cum[n - 1], self.head[n - 1]
+        e = math.lcm(prefix.denominator, mass.denominator)
+        return prefix.numerator * (e // prefix.denominator), mass.numerator * (e // mass.denominator), e
 
 
 @dataclass(frozen=True)

@@ -142,10 +142,11 @@ class LogRatioDiagnostic(NamedTuple):
     std: float
 
 
-def _sqrt(w: Fraction) -> float:
-    """sqrt(w) for 0 < w <= 1 to a float's precision, also where float(w) is subnormal."""
-    s = (w.denominator.bit_length() - w.numerator.bit_length()) // 2  # w * 4**s lies near 1
-    return math.ldexp(math.sqrt((w.numerator << 2 * s) / w.denominator), -s)
+def _sqrt(num: int, den: int) -> float:
+    """sqrt(num / den) for 0 < num <= den to a float's precision, also where
+    num / den is subnormal as a float."""
+    s = (den.bit_length() - num.bit_length()) // 2  # num / den * 4**s lies near 1
+    return math.ldexp(math.sqrt((num << 2 * s) / den), -s)
 
 
 def expected_log_ratio(remap: DigitRemap) -> LogRatioDiagnostic:
@@ -172,14 +173,22 @@ def expected_log_ratio(remap: DigitRemap) -> LogRatioDiagnostic:
     reads -1e-40 against the exact -5e-41.
     """
     start, period, q, t, rows = remap._classes
+    qn, qd = q.numerator, q.denominator
     slope = Fraction(log_rational(t / q))
     # divide exactly before rounding: near q = 1, float(1 - q) may be 0
-    drift, spread = slope * q / (ONE - q), float(abs(slope) / (ONE - q)) * _sqrt(q)
-    # (exact weight, mean, spread) per class, first the digits before the start
-    classes = [(pj, log_rational(o / pj), 0.0) for pj, _, o, _ in rows[: start - 1]]
-    for pj, _, o, _ in rows[start - 1 :]:
-        classes.append((pj / (ONE - q), float(Fraction(log_rational(o / pj)) + drift), spread))
-    mean = math.fsum(float(w) * m for w, m, _ in classes)
+    drift, spread = slope * q / (ONE - q), float(abs(slope) / (ONE - q)) * _sqrt(qn, qd)
+    dn, dd = drift.numerator, drift.denominator
+    # (exact weight as a pair of integers, mean, spread) per class, read off
+    # the integer rows: p_j = c/e and o_phi(j) = C/E
+    classes = []
+    for j, (c, _, e, C, _, E) in enumerate(rows, 1):
+        level = log_rational(Fraction(C * e, E * c))
+        if j < start:
+            classes.append((c, e, level, 0.0))
+        else:  # level + drift summed exactly, then rounded once
+            ln, ld = level.as_integer_ratio()
+            classes.append((c * qd, e * (qd - qn), (ln * dd + dn * ld) / (ld * dd), spread))
+    mean = math.fsum(wn / wd * m for wn, wd, m, _ in classes)
     # a list: unpacking a generator resizes a tuple, which grew peak RSS 1 MB in 16000 calls
-    std = math.hypot(*[_sqrt(w) * x for w, m, s in classes for x in (m - mean, s)])
+    std = math.hypot(*[_sqrt(wn, wd) * x for wn, wd, m, s in classes for x in (m - mean, s)])
     return LogRatioDiagnostic(mean, std)

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -95,16 +96,20 @@ def _build_tables(remap: DigitRemap) -> _FloatTables:
     src, tgt, phi = remap.source, remap.target, remap.digit_map
     start, period, q, t, rows = remap._classes
     size = max(DIGIT_CAP, start - 1)  # every digit past the tables is in closed form
-    prefix = np.array([float(src.prefix(n)) for n in range(1, size + 2)])
-    mass = np.array([float(src.p(n)) for n in range(1, size + 1)])
-    image = [phi.apply(n) for n in range(1, size + 1)]
-    image_prefix = np.array([float(tgt.prefix(m)) for m in image])
-    image_mass = np.array([float(tgt.p(m)) for m in image])
+    # each digit's integer triple (a, c, e) carries prefix a/e and mass c/e
+    # as floats, each one int/int division, rounded once as float() rounds a Fraction
+    entries = [src._int_entry(n) for n in range(1, size + 2)]
+    images = [tgt._int_entry(phi.apply(n)) for n in range(1, size + 1)]
+    prefix = np.array([entry[3] for entry in entries])
+    mass = np.array([entry[4] for entry in entries[:-1]])
+    image_prefix = np.array([entry[3] for entry in images])
+    image_mass = np.array([entry[4] for entry in images])
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.log(image_mass) - np.log(mass)
     # a mass that underflows a float takes its ratio's log from the exact ratio
     for i in np.flatnonzero(~np.isfinite(log_ratio)).tolist():
-        log_ratio[i] = log_rational(tgt.p(image[i]) / src.p(i + 1))
+        (_, c, e, _, _), (_, C, E, _, _) = entries[i], images[i]
+        log_ratio[i] = log_rational(Fraction(C * e, E * c))
     tail_const = float(constant_point(tgt, phi.apply(1)))
     # bucket b holds [b, b + 1) / _BUCKETS; its two ends, looked up the slow way,
     # say how many digit boundaries it spans, and one that reaches the last
@@ -117,8 +122,8 @@ def _build_tables(remap: DigitRemap) -> _FloatTables:
     bucket_index = np.where(plain, first, -1)
     bucket_next = np.where(plain & (spread == 1), prefix[first + 1], np.inf)
     class_logs = np.array([
-        [log_rational(v) for v in (tail, pj, image_tail, o, o / pj)]
-        for pj, tail, o, image_tail in rows[start - 1 :]
+        [log_rational(Fraction(*v)) for v in ((s, e), (c, e), (S, E), (C, E), (C * e, E * c))]
+        for c, s, e, C, S, E in rows[start - 1 :]
     ])
     class_slopes = np.array([log_rational(r) for r in (q, q, t, t, t / q)])
     arrays = (prefix, mass, image_prefix, image_mass, log_ratio)

@@ -16,8 +16,12 @@ integral over [0,1) has the closed form
 Under Lebesgue measure the source digits are i.i.d. with law p, so each
 series, whole or truncated, is a finite head plus `period` geometric residue
 classes, listed once by `DigitRemap._classes`, and one helper, `_digit_sums`,
-sums every such series per class in closed form.  The integral is computed
-here exactly, as a truncated sum with its tail bound, and as rigorous finite
+sums every such series per class in closed form.  Both carry integers: the
+class table keeps each representative digit's masses and tail masses as the
+families' integer triples give them, and the sums group the rows by their
+class weight, add each group's numerators over one integer denominator and
+build a `Fraction` only for the results.  The integral is computed here
+exactly, as a truncated sum with its tail bound, and as rigorous finite
 brackets, whose per-level recursion reads the same two whole series and is
 itself summed in closed form.
 """
@@ -25,6 +29,7 @@ itself summed in closed form.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -59,23 +64,27 @@ class DigitRemap:
         verify_bijection(self.digit_map)
 
     @cached_property
-    def _classes(self) -> tuple[int, int, Fraction, Fraction, tuple[tuple[Fraction, ...], ...]]:
+    def _classes(self) -> tuple[int, int, Fraction, Fraction, tuple[tuple[int, ...], ...]]:
         """(start, period, q, t, rows): the residue classes every series of the
         remap sums over.  From digit `start` on, along a class j, j + period,
-        j + 2 * period, ... of the digit map's eventual period, the source mass
-        and tail mass at j scale by q and the target mass and tail mass at
-        phi(j) by t, the family ratios to the power period.  Row j - 1 holds
-        (p_j, tail_source(j), o_phi(j), tail_target(phi(j))) for j = 1 ..
-        start + period - 1: a digit before `start` is a class of one; each
-        later row stands for its class and scales by q and t."""
+        j + 2 * period, ... of the digit map's eventual period, the source
+        mass and tail mass at j scale by q and the target mass and tail mass at
+        phi(j) by t, the family ratios to the power period.  Row j - 1 holds,
+        for j = 1 .. start + period - 1, six integers read off the families'
+        integer triples: (c, e - a, e) from source digit j's (a, c, e), that
+        is p_j and tail_source(j) over e, then (C, E - A, E) from the
+        target's at phi(j), o_phi(j) and tail_target(phi(j)) over E.  A digit
+        before `start` is a class of one; each later row stands for its class
+        and scales by q and t."""
         sv, tv = self.source.value_form(), self.target.value_form()
         start, period, offsets = self.digit_map.eventual_structure()
         start = max(sv.start, start, tv.start + max(abs(c) for c in offsets))
-        rows, tail = [], ONE
+        source, target, apply = self.source._int_entry, self.target._int_entry, self.digit_map.apply
+        rows = []
         for j in range(1, start + period):
-            pj, m = self.source.p(j), self.digit_map.apply(j)
-            rows.append((pj, tail, self.target.p(m), self.target.tail_mass(m)))
-            tail -= pj
+            a, c, e, _, _ = source(j)
+            A, C, E, _, _ = target(apply(j))
+            rows.append((c, e - a, e, C, E - A, E))
         return start, period, sv.ratio**period, tv.ratio**period, tuple(rows)
 
     @cached_property
@@ -187,19 +196,42 @@ def _digit_sums(
     sum tail_target(phi(j)) p_j.  Both summands scale by qt along
     a class of `DigitRemap._classes`, so a class's K digits up to count add
     its row's terms times (1 - (qt)^K) / (1 - qt): K is infinite for count
-    None, where the power vanishes, and 1 for a row before the start.
+    None, where the power vanishes, and 1 for a row before the start.  The
+    rows that share a K, at most three groups (K = 1 and, along the classes,
+    two counts a period apart), are summed in integers over the lcm of their
+    denominators and weighted once; the groups meet over the lcm of theirs,
+    and each sum becomes a `Fraction` only at the end.
     """
     start, period, q, t, rows = remap._classes
     qt = q * t
-    s_tail = s_mass = ZERO
-    for j, (pj, _, o, tail) in enumerate(rows[:count], 1):
-        if j >= start:  # times the K terms 1, qt, ..., (qt)^(K-1) of the class of j
-            pj *= (ONE if count is None else ONE - qt ** ((count - j) // period + 1)) / (ONE - qt)
-        s_mass += pj * o
-        s_tail += pj * tail
+    n, d = qt.numerator, qt.denominator
+    groups: dict[int | None, list[tuple[int, ...]]] = {}
+    for j, row in enumerate(rows[:count], 1):
+        terms = 1 if j < start else None if count is None else (count - j) // period + 1
+        groups.setdefault(terms, []).append(row)
+    parts = []  # per group: the weighted mass and tail sums over one denominator
+    for terms, group in groups.items():
+        mass, tail, den = _over_lcm([(c * C, c * S, e * E) for c, _, e, C, S, E in group])
+        # (1 - (n/d)^K) / (1 - n/d) = (d^K - n^K) / (d^(K-1) (d - n)), and d / (d - n) for K infinite
+        wn, wd = (d, d - n) if terms is None else (d**terms - n**terms, d ** (terms - 1) * (d - n))
+        parts.append((mass * wn, tail * wn, den * wd))
+    mass, tail, den = _over_lcm(parts)
     if summed is None:
         summed = ONE if count is None else remap.source.prefix(count + 1)
-    return summed - s_tail, s_mass
+    pref = Fraction(summed.numerator * den - summed.denominator * tail, summed.denominator * den)
+    return pref, Fraction(mass, den)
+
+
+def _over_lcm(parts: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """The sums of x/g and of y/g over the (x, y, g) in parts, as two
+    numerators over the lcm of the g."""
+    den = math.lcm(*[g for _, _, g in parts])
+    xs = ys = 0
+    for x, y, g in parts:
+        scale = den // g
+        xs += x * scale
+        ys += y * scale
+    return xs, ys, den
 
 
 _TOLERANCE = Fraction(1, 10**12)  # source tail mass a truncated closed form may leave out

@@ -143,8 +143,10 @@ class TestHeadMemo:
         for pv in self.families():
             first = DIGIT_CAP + 9
             assert decode(pv, evaluate(pv, DigitSeq.of(first, 2)).value, 2) == DigitSeq.of(first, 2)
-            for memo in (*pv._head_memo.values(), pv._int_head):
-                assert memo and max(memo) <= DIGIT_CAP + 1
+            # decode reads only the integer table; p and prefix fill their memos when called
+            assert pv._int_head and max(pv._int_head) <= DIGIT_CAP + 1
+            for memo in pv._head_memo.values():
+                assert max(memo, default=0) <= DIGIT_CAP + 1
 
     def test_equality_and_hash_ignore_the_memo(self):
         for pv in self.families():
@@ -545,3 +547,30 @@ class TestLogRational:
         assert log_rational(1 - F(1, 10**20)) == -1e-20
         assert math.isclose(log_rational(F(1, 10**400)), -921.03403719761827361, rel_tol=4e-16)
         assert math.isclose(log_rational(F(10**500)), 1151.2925464970228420, rel_tol=4e-16)
+
+
+def lcm_triple(pv, n):
+    """Oracle: prefix(n) and p(n) over the lcm of their lowest-term denominators."""
+    prefix, mass = pv.prefix(n), pv.p(n)
+    e = math.lcm(prefix.denominator, mass.denominator)
+    return prefix.numerator * (e // prefix.denominator), mass.numerator * (e // mass.denominator), e
+
+
+class TestIntegerTriples:
+    """Each family reads digit n's triple (a, c, e) straight off its integer
+    closed form; it is the lcm triple of the Fractions prefix(n) and p(n),
+    past DIGIT_CAP + 1 and past a long head too, and its two floats are
+    those Fractions rounded."""
+
+    @given(st.one_of(vectors(), edge_vectors, long_heads), st.integers(1, 300))
+    @settings(deadline=None)
+    def test_triple_is_the_lcm_triple_of_prefix_and_mass(self, pv, n):
+        a, c, e, lo, mass = pv._int_entry(n)
+        assert (a, c, e) == lcm_triple(pv, n)
+        assert (lo, mass) == (float(pv.prefix(n)), float(pv.p(n)))
+
+    def test_a_tail_triple_cancels_its_common_factor(self):
+        # leftover 5/16, ratio 3/5: tail digit 5 = 3 + 2 reads (325, 30, 400)
+        # over d v**k = 16 * 5**2, with the spare factor gcd(l, e) = 5
+        pv = MixedHeadTail((F(1, 2), F(1, 8), F(1, 16)), F(3, 5))
+        assert pv._int_entry(5)[:3] == lcm_triple(pv, 5) == (65, 6, 80)

@@ -22,6 +22,7 @@ from probdigit import (
     expected_log_ratio,
 )
 from probdigit import numeric
+from probdigit.core import log_rational
 from probdigit.numeric import (
     log_derivative_paths,
     monte_carlo_integral,
@@ -312,6 +313,44 @@ def test_values_equal_the_clamped_loop_off_the_past_cap_points(
     *want, past = clamped_remap_values(remap, xs, depth, with_log_derivative)
     for a, b in zip(got if with_log_derivative else [got], want):
         assert np.array_equal(a[~past], b[~past])
+
+
+def assert_tables_are_the_rounded_fractions(remap):
+    """Oracle: the source prefix and mass, the target prefix and mass at phi
+    and the log ratio, each rounded from its exact `Fraction`, for the digits
+    the remap's float tables hold; the tables read them off integer triples."""
+    src, tgt, phi = remap.source, remap.target, remap.digit_map
+    t = numeric._tables(remap)
+    image = [phi.apply(n) for n in range(1, t.mass.size + 1)]
+    exact = [src.p(n) for n in range(1, t.mass.size + 1)], [tgt.p(m) for m in image]
+    mass, image_mass = (np.array([float(v) for v in values]) for values in exact)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(image_mass) - np.log(mass)
+    for i in np.flatnonzero(~np.isfinite(log_ratio)):
+        log_ratio[i] = log_rational(exact[1][i] / exact[0][i])
+    assert np.array_equal(t.prefix, [float(src.prefix(n)) for n in range(1, t.mass.size + 2)])
+    assert np.array_equal(t.mass, mass) and np.array_equal(t.image_mass, image_mass)
+    assert np.array_equal(t.image_prefix, [float(tgt.prefix(m)) for m in image])
+    assert np.array_equal(t.log_ratio, log_ratio)
+
+
+# 65 to 80 head digits: the tables run past DIGIT_CAP to the closed form's start
+longer_heads = st.integers(65, 80).map(lambda m: MixedHeadTail((F(1, 2 * m),) * m, F(2, 3)))
+
+
+@given(
+    st.one_of(lookup_families, longer_heads, st.sampled_from([underflowing, long_head])),
+    st.one_of(lookup_families, longer_heads),
+    oracle_maps,
+)
+@settings(deadline=None, max_examples=40)
+def test_float_tables_equal_the_rounded_fractions(source, target, phi):
+    assert_tables_are_the_rounded_fractions(DigitRemap(source, target, phi))
+
+
+def test_fixture_float_tables_equal_the_rounded_fractions(swap_remap, table_remap, identity_remap):
+    for remap in (swap_remap, table_remap, identity_remap):
+        assert_tables_are_the_rounded_fractions(remap)
 
 
 def test_remap_values_refuses_nan_and_clamps_infinities(swap_remap):

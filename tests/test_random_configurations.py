@@ -100,7 +100,8 @@ def test_class_table_holds_each_representative_digit(remap):
     src, tgt, phi = remap.source, remap.target, remap.digit_map
     start, period, q, t, rows = remap._classes
     assert (start, period, q, t) == eventual_classes(remap)
-    assert rows == tuple(
+    # each row is p_j and tail_source(j) over e, then o_phi(j) and tail_target(phi(j)) over E
+    assert tuple((F(c, e), F(s, e), F(C, E), F(S, E)) for c, s, e, C, S, E in rows) == tuple(
         (src.p(j), src.tail_mass(j), tgt.p(phi.apply(j)), tgt.tail_mass(phi.apply(j)))
         for j in range(1, start + period)
     )

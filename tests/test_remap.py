@@ -19,6 +19,7 @@ from probdigit import (
     DomainError,
     Geometric,
     Identity,
+    MixedHeadTail,
     NotBijective,
     PairSwap,
     TablePermutation,
@@ -363,6 +364,22 @@ def test_the_series_map_each_class_representative_once(mixed):
     start, period, *_ = remap._classes
     assert (start, period) == (5, 1)
     assert CountingTable.calls == start + period - 1
+
+
+def test_the_class_table_and_the_closed_form_read_only_integer_triples(monkeypatch):
+    calls = []
+    for cls in (Geometric, MixedHeadTail):
+        for name in ("p", "prefix"):
+            method = cls.__dict__[name]
+            monkeypatch.setattr(cls, name, lambda self, n, method=method: calls.append(n) or method(self, n))
+    remap = DigitRemap(
+        MixedHeadTail((F(1, 3), F(1, 5)), F(1, 2)), Geometric(F(2, 3)), TablePermutation((3, 1, 4, 2))
+    )
+    remap._classes
+    closed_form_integral(remap)
+    assert calls == []
+    closed_form_integral(remap, exact=False)  # the truncated series reads its summed mass prefix(n + 1)
+    assert calls
 
 
 class TestContinuityModulus:
