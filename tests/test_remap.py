@@ -228,21 +228,28 @@ class TestClosedFormIntegral:
         assert _terms_for_tolerance(half, 1e-300) == 997
 
     def test_truncated_sum_computes_each_deep_prefix_once(self):
-        # n = 263 lies past the memoized head, so every prefix there is a fresh
-        # power; the slack is 1 - prefix(n + 1), and prefix(n) == 1 - tol is
-        # read off the digit search's shifted point
-        calls = []
+        # n = 263 lies past the memoized head, so every entry there is a fresh
+        # power; the digit search reads digit 263's integer triple, the slack
+        # is 1 - prefix(n + 1), and prefix(n) == 1 - tol is read off the
+        # search's shifted point
+        prefixes, triples = [], []
 
         class CountingGeometric(Geometric):
             def prefix(self, n):
-                calls.append(n)
+                prefixes.append(n)
                 return super().prefix(n)
+
+            def _triple(self, n):
+                triples.append(n)
+                return super()._triple(n)
 
         remap = DigitRemap(CountingGeometric(F(9, 10)), Geometric(F(1, 2)), PairSwap())
         for _ in ("cold", "warm"):
-            calls.clear()
+            prefixes.clear()
+            triples.clear()
             result = closed_form_integral(remap, exact=False)
-            assert calls.count(263) <= 1 and calls.count(264) <= 1
+            assert triples.count(263) == 1 and prefixes.count(264) == 1
+            assert prefixes.count(263) == 0 and triples.count(264) <= 1
             assert result.tail_bound > 0
 
     def test_terms_past_the_bit_budget_are_refused(self, swap_remap):
