@@ -92,9 +92,10 @@ def as_fraction(value: Rational) -> Fraction:
 
 
 def _as_point(value: Rational, name: str = "x") -> Fraction:
-    """`as_fraction`, then check that the point lies in [0, 1)."""
-    x = as_fraction(value)
-    if not (ZERO <= x < ONE):
+    """`as_fraction`, a `Fraction` taken as it is, then check that the point
+    lies in [0, 1): 0 <= numerator < denominator, the denominator positive."""
+    x = value if type(value) is Fraction else as_fraction(value)
+    if not 0 <= x.numerator < x.denominator:
         raise DomainError(f"{name} must lie in [0, 1), got {x}")
     return x
 
@@ -149,9 +150,10 @@ class ProbVector:
     the prefix sum ``prefix(n)`` (mass strictly below digit ``n``, so
     ``prefix(1) == 0``), both wrapped in ``_head_memoized``, the same two
     as one integer triple in ``_triple``, and the eventually geometric
-    ``value_form``.
+    ``prefix_form``, its coefficient one `Fraction` built from integers.
     Everything else follows here: the complementary ``tail_mass``, the
-    ``prefix_form``, and from it the float hint for the digit search.
+    ``value_form``, and from the prefix form the float hint for the digit
+    search.
     Instances are immutable and compare equal when they assign the same mass
     to every digit, regardless of how they were described.
     """
@@ -162,7 +164,7 @@ class ProbVector:
     def prefix(self, n: int) -> Fraction:
         raise NotImplementedError
 
-    def value_form(self) -> GeometricForm:
+    def prefix_form(self) -> GeometricForm:
         raise NotImplementedError
 
     @cached_property
@@ -174,11 +176,11 @@ class ProbVector:
         """Mass carried by digits >= n."""
         return ONE - self.prefix(n)
 
-    def prefix_form(self) -> GeometricForm:
-        """Summing the value form's geometric tail: from `start` on,
-        prefix(n) = 1 - sum over j >= n of coeff * ratio**j."""
-        start, coeff, ratio = self.value_form()
-        return GeometricForm(start, coeff / (ONE - ratio), ratio)
+    def value_form(self) -> GeometricForm:
+        """The prefix form's steps: from `start` on,
+        p_j = prefix(j + 1) - prefix(j) = coeff * (1 - ratio) * ratio**j."""
+        start, coeff, ratio = self.prefix_form()
+        return GeometricForm(start, coeff * (ONE - ratio), ratio)
 
     @cached_property
     def _int_head(self) -> dict[int, tuple[int, int, int, float, float]]:
@@ -290,10 +292,11 @@ class ProbVector:
         log_coeff, log_ratio, max_digit, start = self._digit_search
         scale, top = -1.0 / log_ratio, min(max_digit, DIGIT_CAP + 1)
         head, entry, log = self._int_head, self._int_entry, math.log
+        block_width, rounding, past_top = _BLOCK_WIDTH, _ROUNDING, top + 1
         block, a, c, e = [], 0, 1, 1
         width, err = 1.0, 0.0
-        while most and width >= _BLOCK_WIDTH:
-            err += _ROUNDING
+        while most and width >= block_width:
+            err += rounding
             rem = 1.0 - xf
             if rem <= err:
                 break
@@ -304,7 +307,7 @@ class ProbVector:
                 while xf >= lo + m and n < top:
                     n += 1
                     an, cn, en, lo, m = head.get(n) or entry(n)
-            elif g < top + 1:  # False for inf and nan too: a ratio within float precision of 1
+            elif g < past_top:  # False for inf and nan too: a ratio within float precision of 1
                 n = int(g)
                 slop = err * scale / rem + 1e-12  # 1e-12: the rounding of the logs behind g
                 if g - slop < n or g + slop >= n + 1:
@@ -381,8 +384,8 @@ class Geometric(ProbVector):
     def prefix(self, n: int) -> Fraction:
         return ONE - self.q ** (n - 1)
 
-    def value_form(self) -> GeometricForm:
-        return GeometricForm(1, (ONE - self.q) / self.q, self.q)
+    def prefix_form(self) -> GeometricForm:
+        return GeometricForm(1, Fraction(self.q.denominator, self.q.numerator), self.q)
 
     def _triple(self, n: int) -> tuple[int, int, int]:
         return _tail_triple(ONE, self.q, n)
@@ -437,10 +440,13 @@ class MixedHeadTail(ProbVector):
             return self._cum[n - 1]
         return ONE - self._leftover * self.tail_q ** (n - m - 1)
 
-    def value_form(self) -> GeometricForm:
+    def prefix_form(self) -> GeometricForm:
+        # prefix(n) = 1 - (l/d) q**(n-m-1) past the head, with q = u/v:
+        # coeff = l v**(m+1) / (d u**(m+1))
         m = len(self.head)
-        coeff = self._leftover * (ONE - self.tail_q) / self.tail_q ** (m + 1)
-        return GeometricForm(m + 1, coeff, self.tail_q)
+        l, d = self._leftover.as_integer_ratio()
+        u, v = self.tail_q.as_integer_ratio()
+        return GeometricForm(m + 1, Fraction(l * v ** (m + 1), d * u ** (m + 1)), self.tail_q)
 
     def _triple(self, n: int) -> tuple[int, int, int]:
         m = len(self.head)
@@ -465,9 +471,13 @@ class DigitSeq:
     tail: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(self.digits))
-        for d in self.digits:
-            _check_digit(d)
+        digits = tuple(self.digits)
+        object.__setattr__(self, "digits", digits)
+        # one sweep accepts plain ints >= 1; anything else is checked digit by
+        # digit, so the first bad digit raises `_check_digit`'s message
+        if not ({int}.issuperset(map(type, digits)) and min(digits, default=1) >= 1):
+            for d in digits:
+                _check_digit(d)
         _check_digit(self.tail)
 
     @classmethod
@@ -570,11 +580,11 @@ def _into_cylinder(num: int, den: int, a: int, c: int, e: int) -> tuple[int, int
 def evaluate(pv: ProbVector, seq: DigitSeq) -> Evaluation:
     """Exact value of a digit sequence, plus the width of its prefix cylinder;
     the constant tail t adds prefix(t) / (1 - p_t) = a / (e - c) from t's triple."""
-    entry = pv._int_entry
+    head, entry = pv._int_head, pv._int_entry
     # value so far num/den, cylinder width so far mass/den, from the empty prefix
     num, mass, den = 0, 1, 1
     for n in seq.digits:
-        a, c, e, _, _ = entry(n)
+        a, c, e, _, _ = head.get(n) or entry(n)
         num = num * e + a * mass
         mass *= c
         den *= e

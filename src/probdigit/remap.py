@@ -76,7 +76,7 @@ class DigitRemap:
         target's at phi(j), o_phi(j) and tail_target(phi(j)) over E.  A digit
         before `start` is a class of one; each later row stands for its class
         and scales by q and t."""
-        sv, tv = self.source.value_form(), self.target.value_form()
+        sv, tv = self.source.prefix_form(), self.target.prefix_form()
         start, period, offsets = self.digit_map.eventual_structure()
         start = max(sv.start, start, tv.start + max(abs(c) for c in offsets))
         source, target, apply = self.source._int_entry, self.target._int_entry, self.digit_map.apply
@@ -99,8 +99,9 @@ class DigitRemap:
     def image_digits(self, seq: DigitSeq) -> DigitSeq:
         """Rewrite every digit, tail included; an all-ones tail becomes the
         constant phi(1) tail on the image side."""
-        apply = self.digit_map.apply  # checks each digit
-        return DigitSeq._unchecked(tuple(map(apply, seq.digits)), apply(seq.tail))
+        apply = self.digit_map.apply  # checks and maps each distinct digit once
+        image = {n: apply(n) for n in {*seq.digits, seq.tail}}
+        return DigitSeq._unchecked(tuple(map(image.__getitem__, seq.digits)), image[seq.tail])
 
     def point_value(self, seq: DigitSeq) -> Fraction:
         """Exact image of the exact point named by `seq` (digits plus tail)."""
@@ -132,9 +133,10 @@ class DigitRemap:
         y = _as_point(y, "y")
         if self.is_identity:
             return Evaluation(y, ZERO)
-        image = decode(self.target, y, depth)
-        preimage = DigitSeq._unchecked(tuple(map(self.digit_map.inverse, image.digits)), 1)
-        return evaluate(self.source, preimage)
+        digits = decode(self.target, y, depth).digits
+        inverse = self.digit_map.inverse  # checks and maps each distinct digit once
+        preimage = {m: inverse(m) for m in set(digits)}
+        return evaluate(self.source, DigitSeq._unchecked(tuple(map(preimage.__getitem__, digits)), 1))
 
     def inverted(self) -> "DigitRemap":
         return DigitRemap(self.target, self.source, self.digit_map.inverted())

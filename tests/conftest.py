@@ -1,4 +1,5 @@
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -46,6 +47,20 @@ def identity_remap(half):
 @pytest.fixture(scope="session")
 def table_remap(half, mixed):
     return DigitRemap(half, mixed, TablePermutation((3, 1, 2)))
+
+
+@pytest.fixture(scope="session")
+def digits_with_distinct():
+    """digits(k): 256 digits holding exactly k distinct ones, among 1..3k."""
+
+    def digits(k: int) -> tuple[int, ...]:
+        rng = random.Random(k)
+        pool = rng.sample(range(1, 3 * k + 1), k)
+        out = pool + rng.choices(pool, k=256 - k)
+        rng.shuffle(out)
+        return tuple(out)
+
+    return digits
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,25 @@ class TestClassifyPoint:
         assert result.verdict is Verdict.SINGULAR_INDICATED
         assert result.window_start == 6
         assert result.window_ge == 0 and result.total_ge == 5
+
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_reads_each_distinct_digits_masses_once(self, digits_with_distinct, k):
+        calls = []
+
+        class RecordingGeometric(Geometric):
+            def p(self, j):
+                calls.append((self.q, j))
+                return super().p(j)
+
+        swap = PairSwap()
+        remap = DigitRemap(RecordingGeometric(F(1, 2)), RecordingGeometric(F(2, 3)), swap)
+        plain = DigitRemap(Geometric(F(1, 2)), Geometric(F(2, 3)), swap)
+        seq = DigitSeq(digits_with_distinct(k))
+        calls.clear()
+        assert classify_point(remap, seq, 256) == classify_point(plain, seq, 256)
+        distinct = set(seq.digits)
+        expected = [(F(1, 2), n) for n in distinct] + [(F(2, 3), swap.apply(n)) for n in distinct]
+        assert Counter(calls) == Counter(expected)
 
     def test_report_mentions_window_and_counts(self, swap_remap):
         text = classify_point(swap_remap, DigitSeq.of(*([1, 2] * 5)), 10).report()

@@ -3,10 +3,13 @@ same way: a digit that is not a positive int raises ValueError, a point
 outside [0, 1) raises DomainError, and a float point raises TypeError.
 Each remaining refusal raises its own error with its own message, promptly."""
 
+import enum
 import time
 from fractions import Fraction
 
+import numpy
 import pytest
+from hypothesis import given, strategies as st
 
 from probdigit import (
     DigitRemap,
@@ -26,6 +29,7 @@ from probdigit import (
     shift_value,
 )
 from probdigit.configio import render_distribution
+from probdigit.core import _as_point, _check_digit
 
 F = Fraction
 HALF = Geometric(F(1, 2))
@@ -102,3 +106,76 @@ def test_each_remaining_refusal_raises_its_error(entry):
         call()
     assert time.perf_counter() - start < 0.5  # each refusal is prompt
     assert str(raised.value) == message
+
+
+class Digit(enum.IntEnum):
+    ONE = 1
+    SEVEN = 7
+
+
+class Point(Fraction):
+    """A Fraction subclass: `_as_point` converts it, as it always did."""
+
+
+# elements _check_digit accepts (positive ints of any size, IntEnum members)
+# and refuses (0, negative ints, bools, floats, numpy ints, strings)
+elements = st.one_of(
+    st.integers(min_value=1),
+    st.integers(min_value=2**64),
+    st.integers(max_value=0),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from(Digit),
+    st.integers(-(2**63), 2**63 - 1).map(numpy.int64),
+    st.text(max_size=3),
+)
+
+
+def _outcome(call, *args):
+    try:
+        result = call(*args)
+    except (TypeError, ValueError, DomainError) as exc:
+        return type(exc), str(exc)
+    return type(result), result
+
+
+def _check_each(digits, tail):
+    for d in (*digits, tail):
+        _check_digit(d)
+    return tuple(digits), tail
+
+
+@given(st.one_of(st.lists(st.integers(1, 2**70), max_size=40), st.lists(elements, max_size=8)), elements)
+def test_digit_seq_refuses_what_the_digit_check_refuses(digits, tail):
+    # DigitSeq sweeps all digits at once and falls back to _check_digit per
+    # digit: it accepts the same sequences and names the same first bad digit
+    def build(digits, tail):
+        seq = DigitSeq(digits, tail)
+        return seq.digits, seq.tail
+
+    assert _outcome(build, digits, tail) == _outcome(_check_each, digits, tail)
+
+
+def _as_point_reference(value, name="x"):
+    """_as_point as two Fraction comparisons after `as_fraction`."""
+    x = as_fraction(value)
+    if not (0 <= x < 1):
+        raise DomainError(f"{name} must lie in [0, 1), got {x}")
+    return x
+
+
+points = st.one_of(
+    st.fractions(min_value=0, max_value=1),
+    st.fractions(),
+    st.fractions().map(Point),
+    st.integers(),
+    st.booleans(),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.fractions().map(str),
+    st.floats(),
+)
+
+
+@given(points, st.sampled_from(["x", "y"]))
+def test_point_check_agrees_with_two_fraction_comparisons(value, name):
+    assert _outcome(_as_point, value, name) == _outcome(_as_point_reference, value, name)

@@ -8,6 +8,7 @@ the bracket recursion.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from probdigit import (
     closed_form_integral,
     cylinder,
     decode,
+    evaluate,
     expected_log_ratio,
     integral_bracket,
     monotonicity_witnesses,
@@ -371,6 +373,45 @@ def test_the_series_map_each_class_representative_once(mixed):
     start, period, *_ = remap._classes
     assert (start, period) == (5, 1)
     assert CountingTable.calls == start + period - 1
+
+
+class RecordingTable(TablePermutation):
+    """A table map that records each digit its `apply` and `inverse` are called with."""
+
+    calls = []
+
+    def apply(self, n: int) -> int:
+        RecordingTable.calls.append(("apply", n))
+        return super().apply(n)
+
+    def inverse(self, m: int) -> int:
+        RecordingTable.calls.append(("inverse", m))
+        return super().inverse(m)
+
+
+@pytest.mark.parametrize("k", [1, 5, 40])
+def test_image_digits_maps_each_distinct_digit_once(mixed, digits_with_distinct, k):
+    table = TablePermutation((3, 1, 4, 2))
+    remap = DigitRemap(mixed, Geometric(F(2, 3)), RecordingTable(table.table))
+    digits = digits_with_distinct(k)
+    for tail in (digits[0], 200):  # a tail among the digits, and one outside them
+        RecordingTable.calls.clear()
+        image = remap.image_digits(DigitSeq(digits, tail))
+        assert image == DigitSeq(tuple(map(table.apply, digits)), table.apply(tail))
+        assert Counter(RecordingTable.calls) == Counter(("apply", n) for n in {*digits, tail})
+
+
+@pytest.mark.parametrize("k", [1, 5, 40])
+def test_apply_inverse_maps_each_distinct_decoded_digit_once(mixed, digits_with_distinct, k):
+    table, target = TablePermutation((3, 1, 4, 2)), Geometric(F(2, 3))
+    remap = DigitRemap(mixed, target, RecordingTable(table.table))
+    digits = digits_with_distinct(k)
+    y = evaluate(target, DigitSeq(digits)).value
+    assert not remap.is_identity  # cached: deciding it applies the map to the table's head
+    RecordingTable.calls.clear()
+    back = remap.apply_inverse(y, len(digits))
+    assert back == evaluate(mixed, DigitSeq(tuple(map(table.inverse, digits))))
+    assert Counter(RecordingTable.calls) == Counter(("inverse", m) for m in set(digits))
 
 
 def test_the_class_table_and_the_closed_form_read_only_integer_triples(monkeypatch):
