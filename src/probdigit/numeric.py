@@ -17,14 +17,14 @@ their working memory is bounded apart from the one result array.  Successive
 draws from a seeded generator continue one stream, so chunking leaves every
 seeded draw unchanged.
 
-A point's digit comes from a table of `_BUCKETS` equal buckets of [0, 1),
-built once per remap: its bucket names the digit at the bucket's low end and
-the one digit boundary inside the bucket, so one exact comparison finishes
-the lookup.  Only points in crowded buckets, which hold several boundaries
-because digit masses there are below 1 / _BUCKETS (near 1 under a geometric
-tail, for instance), or which reach the last boundary of the tables, are
-found by binary search over the prefix table.  The table is built from that
-search at each bucket's two ends, so every digit up to the tables' last one
+A point's digit comes from one table of `_BUCKETS` equal buckets of [0, 1),
+built once per remap, where a bucket inside one digit's cylinder names that
+digit.  The rest are flagged: a bucket with a digit boundary inside, one
+reaching the last boundary of the tables, bucket 0 and a sentinel past the
+end, onto which clipped bucket numbers send points at or past 1, NaN and
+infinities, whatever the cast gives them.  Flagged points alone are clamped
+below 1 and found by binary search over the prefix table, which built the
+table at each bucket's two ends, so every digit up to the tables' last one
 is the one the search would give.
 
 The tables hold the digits up to `DIGIT_CAP` (further if the remap's closed
@@ -58,7 +58,7 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 _RESOLUTION = 2.0**-53  # an image cylinder this narrow pins a value in [0, 1) to float precision
 _CHUNK = 1 << 16  # uniforms drawn per step of the Monte Carlo and log-path loops
 # equal buckets of [0, 1) in the digit lookup; a power of two, so x * _BUCKETS is exact
-_BUCKETS = 1 << 12
+_BUCKETS = 1 << 13
 _COMPACT_SHARE = 0.25  # share of frozen points at which the value loop compacts its arrays
 
 
@@ -70,8 +70,7 @@ class _FloatTables:
     image_mass: np.ndarray    # target p(phi(n))
     log_ratio: np.ndarray     # ln(image_mass / mass)
     tail_const: float         # image value of the all-ones continuation
-    bucket_index: np.ndarray  # digit index at each bucket's low end, -1 for a crowded bucket
-    bucket_next: np.ndarray   # the one prefix boundary inside each bucket, inf if none
+    bucket_index: np.ndarray  # each bucket's digit index or -1 (flagged), then a -1 sentinel
     # past the tables: ln coeff and ln ratio of the source prefix form, which
     # name a point's digit n, and the residue classes n = start + r + k * period
     log_prefix_form: tuple[float, float]
@@ -112,26 +111,25 @@ def _build_tables(remap: DigitRemap) -> _FloatTables:
         log_ratio[i] = log_rational(Fraction(C * e, E * c))
     tail_const = float(constant_point(tgt, phi.apply(1)))
     # bucket b holds [b, b + 1) / _BUCKETS; its two ends, looked up the slow way,
-    # say how many digit boundaries it spans, and one that reaches the last
-    # boundary is crowded too, so that the fallback sees every point past it
+    # say whether it spans a digit boundary, and one that reaches the last
+    # boundary is flagged too, so that the fallback sees every point past it
     low = np.arange(_BUCKETS) / _BUCKETS
     high = np.nextafter(low + 1.0 / _BUCKETS, 0.0)
     first = _searched_index(prefix, low)
-    spread = _searched_index(prefix, high) - first
-    plain = (spread <= 1) & (high < prefix[-1])
-    bucket_index = np.where(plain, first, -1)
-    bucket_next = np.where(plain & (spread == 1), prefix[first + 1], np.inf)
+    plain = (_searched_index(prefix, high) == first) & (high < prefix[-1])
+    plain[0] = False  # where a cast may send NaN and infinities
+    bucket_index = np.append(np.where(plain, first, -1), -1)
     class_logs = np.array([
         [log_rational(Fraction(*v)) for v in ((s, e), (c, e), (S, E), (C, E), (C * e, E * c))]
         for c, s, e, C, S, E in rows[start - 1 :]
     ])
     class_slopes = np.array([log_rational(r) for r in (q, q, t, t, t / q)])
     arrays = (prefix, mass, image_prefix, image_mass, log_ratio)
-    for array in (*arrays, bucket_index, bucket_next, class_logs, class_slopes):
+    for array in (*arrays, bucket_index, class_logs, class_slopes):
         array.setflags(write=False)  # every later call on the remap shares them
     return _FloatTables(
-        *arrays, tail_const, bucket_index, bucket_next,
-        src._digit_search[:2], start, period, class_logs, class_slopes,
+        *arrays, tail_const, bucket_index, src._digit_search[:2],
+        start, period, class_logs, class_slopes,
     )
 
 
@@ -142,20 +140,19 @@ def _searched_index(prefix: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _digit_index(t: _FloatTables, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exactly `_searched_index(t.prefix, x)` for a flat array x in [0, 1), and
-    the positions of the x at or past the last table boundary, whose digit that
-    index clamps."""
+    """Exactly `_searched_index(t.prefix, fmin(x, _BELOW_ONE))` for a flat
+    array x of points at or above 0, +inf or NaN, and the positions of the
+    points at or past the last table boundary, whose digit that index clamps.
+    The clamped points are written back into x.  Casting a NaN or infinite x
+    warns unless invalid errors are ignored, as `remap_values` does."""
     bucket = np.multiply(x, _BUCKETS, out=np.empty(x.shape, np.intp), casting="unsafe")
-    # the comparison first, so that the lookup holds at most two full-size arrays at once
-    above = x >= t.bucket_next.take(bucket)
-    idx = t.bucket_index.take(bucket)
-    idx += above
-    crowded = np.flatnonzero(idx < 0)
-    if not crowded.size:
-        return idx, crowded
-    x = x.take(crowded)
-    idx[crowded] = _searched_index(t.prefix, x)
-    return idx, crowded[x >= t.prefix[-1]]
+    idx = t.bucket_index.take(bucket, mode="clip")
+    flagged = np.flatnonzero(idx < 0)
+    if not flagged.size:
+        return idx, flagged
+    x[flagged] = clamped = np.fmin(x.take(flagged), _BELOW_ONE)
+    idx[flagged] = _searched_index(t.prefix, clamped)
+    return idx, flagged[clamped >= t.prefix[-1]]
 
 
 def _past_tables(t: _FloatTables, x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -210,8 +207,10 @@ def remap_values(
     decoded digit string; the pair (values, log_derivatives) is returned.
 
     Points are clamped to [0, 1), so -inf reads as 0 and +inf as the largest
-    float below 1; a NaN point raises ValueError.  Values are capped at that
-    largest float too, since an image just below 1 can round up to 1.0.
+    float below 1; a NaN point raises ValueError.  After that only the digit
+    lookup's flagged fallback clamps, which sees every point a step shifts to
+    1 or past it, inf or NaN.  Values are capped at that largest float too,
+    since an image just below 1 can round up to 1.0.
     """
     t = _tables(remap)
     x = np.asarray(xs, dtype=float)
@@ -226,8 +225,8 @@ def remap_values(
     out = None if with_log_derivative else np.empty_like(x)
     live = None  # positions in out of the arrays' points, from their first compaction on
     frozen = 0
-    # a mass that underflows to 0.0 divides to inf, or to NaN at 0/0; the fmin
-    # below takes both back into [0, 1), since fmin, unlike clip, maps NaN to the bound
+    # a mass that underflows to 0.0 divides to inf, or to NaN at 0/0, and rounding can
+    # shift a point to 1 or past it: the next lookup clamps them all, with fmin, NaN too
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(depth):
             idx, far = _digit_index(t, x)
@@ -246,8 +245,6 @@ def remap_values(
                 dlog += gather(t.log_ratio, 4)
             x -= gather(t.prefix, 0)
             x /= gather(t.mass, 1)
-            # x >= prefix, so only the upper end needs clamping
-            np.fmin(x, _BELOW_ONE, out=x)
             if out is None:
                 continue
             done = np.flatnonzero(prod < _RESOLUTION)
