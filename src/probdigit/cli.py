@@ -19,6 +19,7 @@ holds A / (1 - B) unless A + B > 1, which correct sums never reach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import random
 import sys
@@ -154,31 +155,32 @@ def _cmd_integral(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from . import numeric
 
     cfg = _config(args)
     xs, ys, dlog = numeric.sample_rows(_remap(cfg), args.count, depth=cfg.depth)
-    lines = ["x,y,dlog"]
-    lines.extend(
-        f"{float(x)!r},{float(y)!r},{float(d)!r}" for x, y, d in zip(xs, ys, dlog)
-    )
-    text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # repr each distinct dlog once, keyed by its bits so that -0.0 and 0.0 stay apart
+    bits, which = np.unique(dlog.view(np.int64), return_inverse=True)
+    dlog_text = [repr(d) for d in bits.view(np.float64).tolist()]
+    with open(cfg.out, "w", encoding="utf-8") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write("x,y,dlog\n")
+        for i in range(0, len(xs), 1024):  # one chunk of rows formatted and written at a time
+            chunk = slice(i, i + 1024)
+            rows = zip(xs[chunk].tolist(), ys[chunk].tolist(), which[chunk].tolist())
+            fh.write("".join(f"{x!r},{y!r},{dlog_text[k]}\n" for x, y, k in rows))
     return EXIT_OK
 
 
 def _selfcheck_rows(cfg: configio.RunConfig):
     """(name, callable) pairs; a callable may return a note string."""
     rng = random.Random(cfg.seed)
+    # built on first use, and again by each check while it raises (a map that is not a bijection)
+    shared_remap = functools.cache(lambda: _remap(cfg))
 
-    def random_seq(max_len=10, max_digit=9, min_len=0) -> DigitSeq:
-        return DigitSeq(
-            tuple(rng.randint(1, max_digit) for _ in range(rng.randint(min_len, max_len)))
-        )
+    def random_seq(max_len=10, min_len=0) -> DigitSeq:
+        return DigitSeq(tuple(rng.choices(range(1, 10), k=rng.randint(min_len, max_len))))
 
     def check_bijectivity():
         verify_bijection(cfg.digit_map)
@@ -203,14 +205,14 @@ def _selfcheck_rows(cfg: configio.RunConfig):
             assert (va < vb) == (order < 0) and va != vb, f"order broke at {a} vs {b}"
 
     def check_non_monotonic():
-        remap = _remap(cfg)
+        remap = shared_remap()
         if cfg.digit_map.is_identity():
             return "skipped (identity digit map)"
         found = monotonicity_witnesses(remap)
         assert found.increasing and found.decreasing, "missing an order witness"
 
     def check_functional_equation():
-        remap = _remap(cfg)
+        remap = shared_remap()
         for _ in range(100):
             seq = random_seq(min_len=1)
             k = rng.randint(1, len(seq))
@@ -218,7 +220,7 @@ def _selfcheck_rows(cfg: configio.RunConfig):
             assert res == 0, f"residual {res} at {seq}, k={k}"
 
     def check_factored_derivative():
-        remap = _remap(cfg)
+        remap = shared_remap()
         for _ in range(100):
             seq = random_seq(min_len=1)
             deriv = cylinder_derivative(remap, seq)
@@ -230,7 +232,7 @@ def _selfcheck_rows(cfg: configio.RunConfig):
             assert deriv == product == img.width / src.width, f"derivative broke at {seq}"
 
     def check_integral_bracket():
-        remap = _remap(cfg)
+        remap = shared_remap()
         closed = closed_form_integral(remap)
         bracket = integral_bracket(remap, 8)
         assert bracket.contains(closed.value), "closed form escaped the bracket"

@@ -27,22 +27,33 @@ from .core import DigitSeq, ONE, log_rational
 from .remap import DigitRemap
 
 
+def _ratio_terms(remap: DigitRemap, digit: int) -> tuple[int, int]:
+    """derivative_ratio(remap, digit) as an unreduced pair of integers, read
+    off the two families' integer triples: o_phi(d) / p_d = (C/E) / (c/e)."""
+    image = remap.digit_map.apply(digit)  # checks the digit before any integer read
+    _, c, e, _, _ = remap.source._int_entry(digit)
+    _, C, E, _, _ = remap.target._int_entry(image)
+    return C * e, E * c
+
+
 def derivative_ratio(remap: DigitRemap, digit: int) -> Fraction:
     """Exact per-digit stretch factor target.p(phi(digit)) / source.p(digit)."""
-    return remap.target.p(remap.digit_map.apply(digit)) / remap.source.p(digit)
+    return Fraction(*_ratio_terms(remap, digit))
 
 
 def cylinder_derivative(remap: DigitRemap, prefix: DigitSeq) -> Fraction:
     """Image-cylinder width over source-cylinder width for a digit prefix.
 
-    Equals the product of derivative_ratio over the prefix digits.
+    Equals the product of derivative_ratio over the prefix digits, taken here
+    digit by digit in integers and reduced once.
     """
     if not prefix.digits:
         raise ValueError("cylinder derivative needs a nonempty prefix")
-    out = ONE
+    num = den = 1
     for d in prefix.digits:
-        out *= derivative_ratio(remap, d)
-    return out
+        n, m = _ratio_terms(remap, d)
+        num, den = num * n, den * m
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

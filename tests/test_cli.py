@@ -1,9 +1,11 @@
 """End-to-end exercises of the command-line surface and its exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -316,6 +318,44 @@ def test_sample_values_stay_in_unit_interval(capsys):
     assert all(0.0 <= float(r.split(",")[1]) < 1.0 for r in rows)
 
 
+# sha256 of the CSV text, pinned from `sample` when it formatted every cell
+# with its own repr; the second grid has jump points of f
+SAMPLE_TEXT_DIGESTS = [
+    (["sample", *SWAP, "--count", "1000"], "70d6a9273b0d387b0126521a6d17e16efdfb42e0e2236ff3fe6cdfc1d8222fb2"),
+    (
+        ["sample", "--p", "geometric:3/5", "--o", "geometric:1/2", "--phi", "table:[2,3,1]", "--count", "500"],
+        "10612d137ba138c88558f28c6752486ad7eb557ed6ab5bb07b748fe998ef76d4",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SAMPLE_TEXT_DIGESTS, ids=["swap-1000", "table-jumps-500"])
+def test_sample_text_is_pinned_and_the_file_matches_stdout(capsys, tmp_path, argv, digest):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    path = tmp_path / "grid.csv"
+    code, printed, _ = run(capsys, [*argv, "--out", str(path)])
+    assert code == 0 and printed == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_sample_prints_each_cell_as_its_own_repr(capsys, monkeypatch):
+    from probdigit import numeric
+
+    # signed zeros, infinities, the least subnormal and repeats, over three
+    # chunks of rows; -0.0 and 0.0 compare equal but print apart
+    edge = [-0.0, 0.0, float("inf"), float("-inf"), 5e-324, -5e-324, 0.1, 0.1, 1 / 3, -0.0]
+    xs = np.arange(2500, dtype=float) / 2500
+    ys = np.array(edge * 250)[::-1]
+    dlog = np.array(edge * 250)
+    monkeypatch.setattr(numeric, "sample_rows", lambda remap, count, depth: (xs, ys, dlog))
+    code, out, _ = run(capsys, ["sample", "--count", "2500"])
+    assert code == 0
+    rows = (f"{float(x)!r},{float(y)!r},{float(d)!r}" for x, y, d in zip(xs, ys, dlog))
+    assert out == "\n".join(["x,y,dlog", *rows]) + "\n"
+
+
 def test_sample_io_error_exits_4(capsys, tmp_path):
     code, _, err = run(capsys, ["sample", *SWAP, "--count", "4", "--out", str(tmp_path)])
     assert code == 4
@@ -358,9 +398,29 @@ def test_selfcheck_summarizes_a_closed_form_too_long_to_print(run_bounded):
 def test_selfcheck_corrupt_table_exits_1(capsys):
     code, out, err = run(capsys, ["selfcheck", "--phi", "table:[2,2,1]"])
     assert code == 1
-    assert "FAIL  digit-map-bijectivity" in out
-    assert "collision at 2" in out
-    assert "failed at digit-map-bijectivity" in err
+    # every row prints; each check that needs the remap fails on its own row
+    collision = "NotBijective: collision at 2: inputs 1 and 2 both map to it"
+    assert out.splitlines() == [
+        f"FAIL  digit-map-bijectivity    {collision}",
+        "ok    roundtrip",
+        "ok    order-isomorphism",
+        f"FAIL  non-monotonicity         {collision}",
+        f"FAIL  functional-equation      {collision}",
+        f"FAIL  factored-derivative      {collision}",
+        f"FAIL  integral-bracket         {collision}",
+    ]
+    assert err == "selfcheck: failed at digit-map-bijectivity\n"
+
+
+def test_selfcheck_builds_one_remap(capsys, monkeypatch):
+    from probdigit.remap import DigitRemap
+
+    built = []
+    check = DigitRemap.__post_init__
+    monkeypatch.setattr(DigitRemap, "__post_init__", lambda remap: (built.append(remap), check(remap)))
+    code, _, _ = run(capsys, ["selfcheck", "--phi", "table:[3,1,4,2]"])
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_selfcheck_finds_witnesses_past_the_fourth_digit(capsys):

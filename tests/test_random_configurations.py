@@ -35,8 +35,14 @@ from probdigit import (
     integral_bracket,
     monotonicity_witnesses,
 )
-from probdigit.core import ONE, ZERO, log_rational
-from probdigit.derivative import PointClassification, Verdict, classify_point, derivative_ratio
+from probdigit.core import DIGIT_CAP, ONE, ZERO, log_rational
+from probdigit.derivative import (
+    PointClassification,
+    Verdict,
+    classify_point,
+    cylinder_derivative,
+    derivative_ratio,
+)
 from probdigit.remap import _digit_sums, _terms_for_tolerance
 
 F = Fraction
@@ -215,6 +221,27 @@ def test_log_ratio_law_matches_a_direct_sum(remap):
     got = expected_log_ratio(remap)
     assert abs(got.value - mean) <= 1e-12 * scale + 1e-25
     assert abs(got.std**2 - var) <= 1e-12 * square + 1e-25
+
+
+# digits in the families' memoized head and past it, whose masses are read fresh
+head_and_far_digits = st.one_of(st.integers(1, 12), st.integers(DIGIT_CAP, DIGIT_CAP + 40))
+
+
+@given(remaps, st.lists(head_and_far_digits, min_size=1, max_size=8))
+@settings(deadline=None, max_examples=100)
+def test_derivative_ratios_equal_the_mass_quotients(remap, digits):
+    src, tgt, phi = remap.source, remap.target, remap.digit_map
+    quotients = [tgt.p(phi.apply(d)) / src.p(d) for d in digits]
+    assert [derivative_ratio(remap, d) for d in digits] == quotients
+    assert cylinder_derivative(remap, DigitSeq(tuple(digits))) == math.prod(quotients)
+
+
+@given(remaps, st.sampled_from([0, -1, True, 1.0, "2"]))
+@settings(deadline=None, max_examples=30)
+def test_derivative_ratio_refuses_a_non_digit(remap, digit):
+    with pytest.raises(ValueError) as refused:
+        derivative_ratio(remap, digit)
+    assert str(refused.value) == f"digits are positive integers, got {digit!r}"
 
 
 def moment_log_ratio_law(remap):
