@@ -25,15 +25,17 @@ cylinder the run spans.  The cylinders of one depth partition [0, 1), so a
 confirmed run is what one exact step per digit reads; every digit no block
 confirms takes that exact step.
 
-Each family reads digit n's integer triple, prefix(n) = a/e and p(n) = c/e
-over one denominator, straight off its integer closed form, without a
-`Fraction`; `decode`, `evaluate` and the series of `probdigit.remap` read
-only these triples.  Nearly every digit read is small (digits are i.i.d.
-with the weight law), so each family keeps the triple of each digit
-n <= DIGIT_CAP + 1, with its two floats for decode's guess, from the first
-time that digit is used, and likewise its exact p(n) and prefix(n) from the
-first time those are called.  Larger digits are computed on every call and
-never stored.
+Each family records its shape once, as a head of masses p_1 .. p_m, the
+mass left after it and the ratio of the geometric tail that spreads that
+mass; its integer triple for digit n, prefix(n) = a/e and p(n) = c/e over
+one denominator, and its prefix form both follow from that record, without
+a `Fraction` per digit.  `decode`, `evaluate`, the derivative ratios and the
+series of `probdigit.remap` read only these triples.  Nearly every digit
+read is small (digits are i.i.d. with the weight law), so one table per
+family keeps the triple of each digit n <= DIGIT_CAP + 1, with its two
+floats for decode's guess, from the first time that digit is used; larger
+digits are computed on every call and never stored.  The exact `p(n)` and
+`prefix(n)` each family also gives are computed on every call.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -52,8 +54,8 @@ Rational = int | str | Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MAX_PREFIX_BITS = 1 << 18  # bit budget of one exact prefix; see ProbVector.digit_of
-# Digits 1..DIGIT_CAP + 1 are the head: memoized exactly per family and
-# enumerated one by one by the float path
+# Digits 1..DIGIT_CAP + 1: each family keeps their integer triples, and the
+# float path enumerates them one by one
 DIGIT_CAP = 64
 # decode's float guess (ProbVector._guess_block): a block ends before its float
 # width drops below _BLOCK_WIDTH, and each digit adds _ROUNDING to the bound on
@@ -114,26 +116,6 @@ def _check_digit(j: int) -> int:
     return j
 
 
-def _head_memoized(compute):
-    """Wrap a family's p or prefix: check the digit first (True and 1.0 hash
-    like 1, so a lookup would accept them), then serve digits up to
-    DIGIT_CAP + 1 from the family's memo, computing each one once."""
-    name = compute.__name__
-
-    @wraps(compute)
-    def method(self, n):
-        _check_digit(n)
-        memo = self._head_memo[name]
-        value = memo.get(n)
-        if value is None:
-            value = compute(self, n)
-            if n <= DIGIT_CAP + 1:
-                memo[n] = value
-        return value
-
-    return method
-
-
 class GeometricForm(NamedTuple):
     """Closed form valid from `start` on: value form p_j = coeff * ratio**j,
     prefix form prefix(n) = 1 - coeff * ratio**n."""
@@ -146,17 +128,38 @@ class GeometricForm(NamedTuple):
 class ProbVector:
     """Base class for closed-form weight families on the positive integers.
 
-    Subclasses provide only validation, the exact per-digit mass ``p(j)``,
-    the prefix sum ``prefix(n)`` (mass strictly below digit ``n``, so
-    ``prefix(1) == 0``), both wrapped in ``_head_memoized``, the same two
-    as one integer triple in ``_triple``, and the eventually geometric
-    ``prefix_form``, its coefficient one `Fraction` built from integers.
-    Everything else follows here: the complementary ``tail_mass``, the
-    ``value_form``, and from the prefix form the float hint for the digit
+    Every family is a head of masses p_1 .. p_m, then a geometric tail that
+    spreads the leftover mass over digits m + 1, m + 2, ... in proportions
+    (1 - ratio), (1 - ratio) ratio, ...  A subclass records that shape once
+    with ``_set_form`` and gives the exact ``p(j)`` and ``prefix(n)`` (mass
+    strictly below digit ``n``, so ``prefix(1) == 0``) as `Fraction` closed
+    forms.  The rest follows here from the record: the integer ``_triple``
+    behind the table ``_int_head`` that the library reads, ``prefix_form``
+    and ``value_form``, ``tail_mass``, and the float hint for the digit
     search.
     Instances are immutable and compare equal when they assign the same mass
     to every digit, regardless of how they were described.
     """
+
+    _cum: tuple[Fraction, ...]  # prefix(1) .. prefix(m + 1): 0, then the head's running sums
+    _leftover: Fraction  # the tail's mass, 1 - prefix(m + 1)
+    _ratio: Fraction  # the tail's ratio
+
+    def _set_form(self, head: tuple[Fraction, ...], ratio: Fraction, noun: str) -> None:
+        """Validate and record the shape: each head mass and the ratio, named
+        `noun` in its refusal, strictly inside (0, 1), the head summing below 1."""
+        cum = [ZERO]
+        for h in head:
+            if not (ZERO < h < ONE):
+                raise InvalidDistribution(f"head masses must lie strictly inside (0, 1), got {h}")
+            cum.append(cum[-1] + h)
+        if cum[-1] >= ONE:
+            raise InvalidDistribution(f"head masses must sum below 1, got {cum[-1]}")
+        if not (ZERO < ratio < ONE):
+            raise InvalidDistribution(f"{noun} must lie strictly inside (0, 1), got {ratio}")
+        object.__setattr__(self, "_cum", tuple(cum))
+        object.__setattr__(self, "_leftover", ONE - cum[-1])
+        object.__setattr__(self, "_ratio", ratio)
 
     def p(self, j: int) -> Fraction:
         raise NotImplementedError
@@ -165,12 +168,12 @@ class ProbVector:
         raise NotImplementedError
 
     def prefix_form(self) -> GeometricForm:
-        raise NotImplementedError
-
-    @cached_property
-    def _head_memo(self) -> dict[str, dict[int, Fraction]]:
-        # exact p(n) and prefix(n) for n <= DIGIT_CAP + 1, filled on first use
-        return {"p": {}, "prefix": {}}
+        """prefix(n) = 1 - (l/d) q**(n-m-1) past the head, with q = u/v:
+        coeff = l v**(m+1) / (d u**(m+1))."""
+        m = len(self._cum) - 1
+        l, d = self._leftover.as_integer_ratio()
+        u, v = self._ratio.as_integer_ratio()
+        return GeometricForm(m + 1, Fraction(l * v ** (m + 1), d * u ** (m + 1)), self._ratio)
 
     def tail_mass(self, n: int) -> Fraction:
         """Mass carried by digits >= n."""
@@ -188,16 +191,24 @@ class ProbVector:
         return {}
 
     def _triple(self, n: int) -> tuple[int, int, int]:
-        """prefix(n) = a/e and p(n) = c/e as integers (a, c, e) with no
-        common factor, from the family's closed form."""
-        raise NotImplementedError
+        """(a, c, e) with prefix(n) = a/e, p(n) = c/e and no common factor:
+        a tail digit's from `_tail_triple`, a head digit's over the lcm of
+        the denominators of prefix(n) and prefix(n + 1), which is that of
+        prefix(n) and p(n), as each of the three sums or differences the others."""
+        cum = self._cum
+        m = len(cum) - 1
+        if n > m:
+            return _tail_triple(self._leftover, self._ratio, n - m)
+        prefix, after = cum[n - 1], cum[n]
+        e = math.lcm(prefix.denominator, after.denominator)
+        a = prefix.numerator * (e // prefix.denominator)
+        return a, after.numerator * (e // after.denominator) - a, e
 
     def _int_entry(self, n: int) -> tuple[int, int, int, float, float]:
-        """(a, c, e, a/e, c/e): prefix(n) = a/e and p(n) = c/e as the family's
-        `_triple(n)`, read straight off its integer closed form, then both
-        rounded to floats for `_guess_block`; digits up to DIGIT_CAP + 1 are
-        kept in `_int_head`.  Neither `p` nor `prefix` is called, so their
-        memos fill only when they are.
+        """(a, c, e, a/e, c/e): prefix(n) = a/e and p(n) = c/e as
+        `_triple(n)` gives them, then both rounded to floats for
+        `_guess_block`; digits up to DIGIT_CAP + 1 are kept in `_int_head`,
+        the family's one table.
 
         e is the lcm of the lowest-term denominators of prefix(n) and p(n),
         the triple these two Fractions would give: any common denominator of
@@ -324,8 +335,8 @@ class ProbVector:
         return block, a, c, e
 
     def _canonical_key(self):
-        start, coeff, ratio = self.value_form()
-        head = [self.p(j) for j in range(1, start)]
+        _, coeff, ratio = self.value_form()
+        head = [after - before for before, after in zip(self._cum, self._cum[1:])]
         while head and head[-1] == coeff * ratio ** len(head):
             head.pop()
         return (tuple(head), coeff, ratio)
@@ -371,24 +382,15 @@ class Geometric(ProbVector):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", as_fraction(self.q))
-        if not (ZERO < self.q < ONE):
-            raise InvalidDistribution(
-                f"geometric ratio must lie strictly inside (0, 1), got {self.q}"
-            )
+        self._set_form((), self.q, "geometric ratio")
 
-    @_head_memoized
     def p(self, j: int) -> Fraction:
+        _check_digit(j)
         return (ONE - self.q) * self.q ** (j - 1)
 
-    @_head_memoized
     def prefix(self, n: int) -> Fraction:
+        _check_digit(n)
         return ONE - self.q ** (n - 1)
-
-    def prefix_form(self) -> GeometricForm:
-        return GeometricForm(1, Fraction(self.q.denominator, self.q.numerator), self.q)
-
-    def _triple(self, n: int) -> tuple[int, int, int]:
-        return _tail_triple(ONE, self.q, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,56 +407,23 @@ class MixedHeadTail(ProbVector):
     tail_q: Fraction
 
     def __post_init__(self) -> None:
-        head = tuple(as_fraction(h) for h in self.head)
-        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "head", tuple(as_fraction(h) for h in self.head))
         object.__setattr__(self, "tail_q", as_fraction(self.tail_q))
-        cum = [ZERO]
-        for h in head:
-            if not (ZERO < h < ONE):
-                raise InvalidDistribution(
-                    f"head masses must lie strictly inside (0, 1), got {h}"
-                )
-            cum.append(cum[-1] + h)
-        if cum[-1] >= ONE:
-            raise InvalidDistribution(
-                f"head masses must sum below 1, got {cum[-1]}"
-            )
-        if not (ZERO < self.tail_q < ONE):
-            raise InvalidDistribution(
-                f"tail ratio must lie strictly inside (0, 1), got {self.tail_q}"
-            )
-        object.__setattr__(self, "_cum", tuple(cum))
-        object.__setattr__(self, "_leftover", ONE - cum[-1])
+        self._set_form(self.head, self.tail_q, "tail ratio")
 
-    @_head_memoized
     def p(self, j: int) -> Fraction:
+        _check_digit(j)
         m = len(self.head)
         if j <= m:
             return self.head[j - 1]
         return self._leftover * (ONE - self.tail_q) * self.tail_q ** (j - m - 1)
 
-    @_head_memoized
     def prefix(self, n: int) -> Fraction:
+        _check_digit(n)
         m = len(self.head)
         if n <= m + 1:
             return self._cum[n - 1]
         return ONE - self._leftover * self.tail_q ** (n - m - 1)
-
-    def prefix_form(self) -> GeometricForm:
-        # prefix(n) = 1 - (l/d) q**(n-m-1) past the head, with q = u/v:
-        # coeff = l v**(m+1) / (d u**(m+1))
-        m = len(self.head)
-        l, d = self._leftover.as_integer_ratio()
-        u, v = self.tail_q.as_integer_ratio()
-        return GeometricForm(m + 1, Fraction(l * v ** (m + 1), d * u ** (m + 1)), self.tail_q)
-
-    def _triple(self, n: int) -> tuple[int, int, int]:
-        m = len(self.head)
-        if n > m:
-            return _tail_triple(self._leftover, self.tail_q, n - m)
-        prefix, mass = self._cum[n - 1], self.head[n - 1]
-        e = math.lcm(prefix.denominator, mass.denominator)
-        return prefix.numerator * (e // prefix.denominator), mass.numerator * (e // mass.denominator), e
 
 
 @dataclass(frozen=True)

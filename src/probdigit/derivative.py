@@ -120,9 +120,8 @@ def classify_point(remap: DigitRemap, seq: DigitSeq, horizon: int) -> PointClass
     digits = seq.digits[:horizon]
     sign: dict[int, int] = {}  # digit -> sign of image mass minus source mass; digits repeat
     for n in set(digits):
-        image_mass, source_mass = remap.target.p(remap.digit_map.apply(n)), remap.source.p(n)
-        diff = image_mass.numerator * source_mass.denominator - source_mass.numerator * image_mass.denominator
-        sign[n] = (diff > 0) - (diff < 0)
+        image, source = _ratio_terms(remap, n)  # the masses' quotient, over positive integers
+        sign[n] = (image > source) - (image < source)
     signs = [sign[n] for n in digits]
 
     def tally(part: list[int]) -> tuple[int, int, int]:  # positions with >=, <=, !=

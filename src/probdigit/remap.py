@@ -151,9 +151,10 @@ class DigitRemap:
         """
         if not 1 <= k <= len(seq):
             raise ValueError(f"k must lie in 1..{len(seq)}, got {k}")
-        m = self.digit_map.apply(seq[k - 1])
+        a, c, e, _, _ = self.target._int_entry(self.digit_map.apply(seq[k - 1]))
         lhs = self.point_value(seq.drop(k - 1))
-        rhs = self.target.prefix(m) + self.target.p(m) * self.point_value(seq.drop(k))
+        rest = self.point_value(seq.drop(k))  # prefix + mass * rest = (a + c * rest) / e
+        rhs = Fraction(a * rest.denominator + c * rest.numerator, e * rest.denominator)
         return abs(lhs - rhs)
 
 

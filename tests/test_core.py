@@ -108,7 +108,9 @@ class TestProbVector:
 
 
 class TestHeadMemo:
-    """p and prefix of digits up to DIGIT_CAP + 1 are computed once per family."""
+    """Each family keeps one table, the integer entries of digits up to
+    DIGIT_CAP + 1; p and prefix are computed per call, and agree whether
+    the table is cold or warm."""
 
     @staticmethod
     def families():
@@ -126,8 +128,7 @@ class TestHeadMemo:
                     for method in (pv.p, pv.prefix):
                         with pytest.raises(ValueError):
                             method(bad)
-                pv.p(1), pv.prefix(1)
-                assert 1 in pv._head_memo["p"] and 1 in pv._head_memo["prefix"]
+                pv.p(1), pv.prefix(1), pv._int_entry(1)
 
     def test_memoized_values_equal_fresh_ones(self):
         for pv in self.families():
@@ -137,16 +138,15 @@ class TestHeadMemo:
                     fresh = dataclasses.replace(pv)
                     assert pv.p(n) == fresh.p(n)
                     assert pv.prefix(n) == fresh.prefix(n)
+                    assert pv._int_entry(n) == fresh._int_entry(n)
             assert pv.prefix(DIGIT_CAP + 1) + pv.tail_mass(DIGIT_CAP + 1) == 1
 
     def test_digits_past_the_cap_are_not_kept(self):
         for pv in self.families():
             first = DIGIT_CAP + 9
             assert decode(pv, evaluate(pv, DigitSeq.of(first, 2)).value, 2) == DigitSeq.of(first, 2)
-            # decode reads only the integer table; p and prefix fill their memos when called
+            # decode reads only the integer table, which keeps no digit past the cap
             assert pv._int_head and max(pv._int_head) <= DIGIT_CAP + 1
-            for memo in pv._head_memo.values():
-                assert max(memo, default=0) <= DIGIT_CAP + 1
 
     def test_equality_and_hash_ignore_the_memo(self):
         for pv in self.families():

@@ -127,9 +127,9 @@ class TestClassifyPoint:
         calls = []
 
         class RecordingGeometric(Geometric):
-            def p(self, j):
-                calls.append((self.q, j))
-                return super().p(j)
+            def _int_entry(self, n):
+                calls.append((self.q, n))
+                return super()._int_entry(n)
 
         swap = PairSwap()
         remap = DigitRemap(RecordingGeometric(F(1, 2)), RecordingGeometric(F(2, 3)), swap)

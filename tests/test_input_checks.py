@@ -17,6 +17,7 @@ from probdigit import (
     DomainError,
     Geometric,
     Identity,
+    InvalidDistribution,
     MixedHeadTail,
     NotBijective,
     PairSwap,
@@ -28,7 +29,7 @@ from probdigit import (
     decode,
     shift_value,
 )
-from probdigit.configio import render_distribution
+from probdigit.configio import parse_distribution, render_distribution
 from probdigit.core import _as_point, _check_digit
 
 F = Fraction
@@ -106,6 +107,22 @@ def test_each_remaining_refusal_raises_its_error(entry):
         call()
     assert time.perf_counter() - start < 0.5  # each refusal is prompt
     assert str(raised.value) == message
+
+
+# one shape check serves both families; the ratio's refusal names the family's ratio
+FAMILY_REFUSALS = {
+    "geometric:1": "geometric ratio must lie strictly inside (0, 1), got 1",
+    "mixed:[1/3]:1": "tail ratio must lie strictly inside (0, 1), got 1",
+    "mixed:[1/2,0]:1/2": "head masses must lie strictly inside (0, 1), got 0",
+    "mixed:[1/2,1/2]:1/2": "head masses must sum below 1, got 1",
+}
+
+
+@pytest.mark.parametrize("text", FAMILY_REFUSALS)
+def test_each_family_refusal_names_what_is_wrong(text):
+    with pytest.raises(InvalidDistribution) as raised:
+        parse_distribution(text)
+    assert str(raised.value) == FAMILY_REFUSALS[text]
 
 
 class Digit(enum.IntEnum):

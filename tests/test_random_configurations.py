@@ -11,7 +11,9 @@ band.  It reads the order witnesses off the digit map and classifies a point
 from one sign per digit; the oracles evaluate and compare every one-digit
 point and keep three counters per position.  The class table every series
 reads is checked against the class head computed apart from it and against
-the per-digit masses."""
+the per-digit masses.  The one-step residual, which the library forms from
+integer triples, is checked against the `Fraction` masses, and `apply_inverse`
+against `apply` at drawn depths."""
 
 import itertools
 import math
@@ -351,3 +353,23 @@ def test_classification_equals_the_three_counter_classifier(remap, data):
         seq = decode(remap.source, data.draw(points), data.draw(st.integers(1, 64)))
     horizon = data.draw(st.integers(1, len(seq)))
     assert classify_point(remap, seq, horizon) == three_counter_classification(remap, seq, horizon)
+
+
+@given(slow_remaps, st.lists(head_and_far_digits, min_size=1, max_size=12), st.integers(1, 4))
+@settings(deadline=None, max_examples=100)
+def test_residual_is_zero_against_the_fraction_oracle(remap, digits, tail):
+    tgt, phi = remap.target, remap.digit_map
+    seq = DigitSeq(tuple(digits), tail)
+    for k in range(1, len(seq) + 1):
+        m = phi.apply(seq[k - 1])
+        lhs = remap.point_value(seq.drop(k - 1))
+        # the residual is |lhs - rhs|, so 0 means its right side is this oracle
+        assert lhs == tgt.prefix(m) + tgt.p(m) * remap.point_value(seq.drop(k))
+        assert remap.residual(seq, k) == 0
+
+
+@given(slow_remaps, points, st.integers(1, 64))
+@settings(deadline=None, max_examples=100)
+def test_apply_inverse_gives_back_the_digits_apply_read(remap, x, depth):
+    back = remap.apply_inverse(remap.apply(x, depth).value, depth).value
+    assert decode(remap.source, back, depth) == decode(remap.source, x, depth)
