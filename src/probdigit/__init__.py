@@ -29,14 +29,12 @@ from .core import (
     shift_value,
 )
 from .derivative import (
-    DigitCounts,
     LogRatioDiagnostic,
     PointClassification,
     Verdict,
     classify_point,
     cylinder_derivative,
     derivative_ratio,
-    digit_counts,
     expected_log_ratio,
 )
 from .errors import (
@@ -61,7 +59,6 @@ __all__ = [
     "ClosedFormIntegral",
     "Cylinder",
     "DigitBijection",
-    "DigitCounts",
     "DigitRemap",
     "DigitSeq",
     "DomainError",
@@ -88,7 +85,6 @@ __all__ = [
     "cylinder_derivative",
     "decode",
     "derivative_ratio",
-    "digit_counts",
     "evaluate",
     "expected_log_ratio",
     "integral_bracket",

@@ -32,9 +32,6 @@ class DigitBijection:
     def inverse(self, m: int) -> int:
         raise NotImplementedError
 
-    def inverted(self) -> "DigitBijection":
-        raise NotImplementedError
-
     def eventual_structure(self) -> EventualShift:
         raise NotImplementedError
 
@@ -51,9 +48,6 @@ class Identity(DigitBijection):
 
     def inverse(self, m: int) -> int:
         return _check_digit(m)
-
-    def inverted(self) -> "Identity":
-        return self
 
     def eventual_structure(self) -> EventualShift:
         return EventualShift(1, 1, (0,))
@@ -73,9 +67,6 @@ class PairSwap(DigitBijection):
 
     def inverse(self, m: int) -> int:
         return self.apply(m)
-
-    def inverted(self) -> "PairSwap":
-        return self
 
     def eventual_structure(self) -> EventualShift:
         return EventualShift(1, 2, (-1, 1))
@@ -114,10 +105,6 @@ class TablePermutation(DigitBijection):
         if m <= len(self.table):
             raise NotBijective(f"value {m} is never produced by table {list(self.table)}")
         return m
-
-    def inverted(self) -> "TablePermutation":
-        verify_bijection(self)
-        return TablePermutation(tuple(i for _, i in sorted(self._inverse_table.items())))
 
     def eventual_structure(self) -> EventualShift:
         return EventualShift(len(self.table) + 1, 1, (0,))

@@ -117,8 +117,7 @@ def _check_digit(j: int) -> int:
 
 
 class GeometricForm(NamedTuple):
-    """Closed form valid from `start` on: value form p_j = coeff * ratio**j,
-    prefix form prefix(n) = 1 - coeff * ratio**n."""
+    """Closed form valid from `start` on: prefix(n) = 1 - coeff * ratio**n."""
 
     start: int
     coeff: Fraction
@@ -134,9 +133,8 @@ class ProbVector:
     with ``_set_form`` and gives the exact ``p(j)`` and ``prefix(n)`` (mass
     strictly below digit ``n``, so ``prefix(1) == 0``) as `Fraction` closed
     forms.  The rest follows here from the record: the integer ``_triple``
-    behind the table ``_int_head`` that the library reads, ``prefix_form``
-    and ``value_form``, ``tail_mass``, and the float hint for the digit
-    search.
+    behind the table ``_int_head`` that the library reads, ``prefix_form``,
+    the float hint for the digit search and the key of equality.
     Instances are immutable and compare equal when they assign the same mass
     to every digit, regardless of how they were described.
     """
@@ -174,16 +172,6 @@ class ProbVector:
         l, d = self._leftover.as_integer_ratio()
         u, v = self._ratio.as_integer_ratio()
         return GeometricForm(m + 1, Fraction(l * v ** (m + 1), d * u ** (m + 1)), self._ratio)
-
-    def tail_mass(self, n: int) -> Fraction:
-        """Mass carried by digits >= n."""
-        return ONE - self.prefix(n)
-
-    def value_form(self) -> GeometricForm:
-        """The prefix form's steps: from `start` on,
-        p_j = prefix(j + 1) - prefix(j) = coeff * (1 - ratio) * ratio**j."""
-        start, coeff, ratio = self.prefix_form()
-        return GeometricForm(start, coeff * (ONE - ratio), ratio)
 
     @cached_property
     def _int_head(self) -> dict[int, tuple[int, int, int, float, float]]:
@@ -334,12 +322,15 @@ class ProbVector:
             most -= 1
         return block, a, c, e
 
-    def _canonical_key(self):
-        _, coeff, ratio = self.value_form()
-        head = [after - before for before, after in zip(self._cum, self._cum[1:])]
-        while head and head[-1] == coeff * ratio ** len(head):
-            head.pop()
-        return (tuple(head), coeff, ratio)
+    def _canonical_key(self) -> tuple[tuple[Fraction, ...], Fraction]:
+        """(_cum, ratio) of the shortest head: a last head mass h that the
+        tail would give, h q = l (1 - q) with l the leftover, joins the tail,
+        so every description of one law ends at the same record."""
+        cum, q = self._cum, self._ratio
+        m = len(cum) - 1
+        while m and (cum[m] - cum[m - 1]) * q == (ONE - cum[m]) * (ONE - q):
+            m -= 1
+        return cum[: m + 1], q
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProbVector):
@@ -470,23 +461,11 @@ class DigitSeq:
     def __getitem__(self, i: int) -> int:
         return self.digits[i]
 
-    def digit_at(self, i: int) -> int:
-        """Digit at 0-based position i of the full infinite string."""
-        return self.digits[i] if i < len(self.digits) else self.tail
-
     def drop(self, count: int) -> "DigitSeq":
         """Remove the first `count` digits; past the end, only the tail is left."""
         if count < 0:
             raise ValueError("count must be non-negative")
         return DigitSeq._unchecked(self.digits[count:], self.tail)
-
-    def compare(self, other: "DigitSeq") -> int:
-        """Lexicographic order of the two infinite strings: -1, 0 or 1."""
-        for i in range(max(len(self), len(other)) + 1):
-            a, b = self.digit_at(i), other.digit_at(i)
-            if a != b:
-                return -1 if a < b else 1
-        return 0
 
 
 class Evaluation(NamedTuple):

@@ -8,10 +8,10 @@ exact rational factor per digit:
 
 Whether that product collapses to 0, blows up, or settles is what separates
 flat (singular) behaviour from infinite or finite derivatives, so this module
-exposes the per-digit ratios, their products, digit-occurrence counts that
-factor those products, a finite-horizon classifier, and the mean and spread
-of the log ratio over all digits under the source weights; the mean predicts
-the typical exponent along digit sequences sampled from the source weights.
+exposes the per-digit ratios, their products along cylinders, a finite-horizon
+classifier, and the mean and spread of the log ratio over all digits under
+the source weights; the mean predicts the typical exponent along digit
+sequences sampled from the source weights.
 """
 
 from __future__ import annotations
@@ -56,23 +56,6 @@ def cylinder_derivative(remap: DigitRemap, prefix: DigitSeq) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class DigitCounts:
-    """Occurrence counts of each digit among the first `horizon` digits."""
-
-    counts: dict[int, int]
-    horizon: int
-
-
-def digit_counts(seq: DigitSeq, horizon: int) -> DigitCounts:
-    if not 0 <= horizon <= len(seq):
-        raise ValueError(f"horizon must lie in 0..{len(seq)}, got {horizon}")
-    counts: dict[int, int] = {}
-    for d in seq.digits[:horizon]:
-        counts[d] = counts.get(d, 0) + 1
-    return DigitCounts(counts, horizon)
-
-
 class Verdict(enum.Enum):
     SINGULAR_INDICATED = "singular-indicated"
     INFINITE_DERIVATIVE_INDICATED = "infinite-derivative-indicated"
@@ -100,17 +83,6 @@ class PointClassification:
     total_ge: int
     total_le: int
     total_ne: int
-
-    def report(self) -> str:
-        w = self.horizon - self.window_start + 1
-        return "\n".join(
-            [
-                f"verdict: {self.verdict.value}",
-                f"horizon: {self.horizon} digits, window: {self.window_start}..{self.horizon}",
-                f"window evidence: >= at {self.window_ge}/{w}, <= at {self.window_le}/{w}, != at {self.window_ne}/{w}",
-                f"full horizon: >= at {self.total_ge}/{self.horizon}, <= at {self.total_le}/{self.horizon}, != at {self.total_ne}/{self.horizon}",
-            ]
-        )
 
 
 def classify_point(remap: DigitRemap, seq: DigitSeq, horizon: int) -> PointClassification:

@@ -138,9 +138,6 @@ class DigitRemap:
         preimage = {m: inverse(m) for m in set(digits)}
         return evaluate(self.source, DigitSeq._unchecked(tuple(map(preimage.__getitem__, digits)), 1))
 
-    def inverted(self) -> "DigitRemap":
-        return DigitRemap(self.target, self.source, self.digit_map.inverted())
-
     def residual(self, seq: DigitSeq, k: int) -> Fraction:
         """Defect of the one-step self-similarity at digit position k.
 
@@ -241,7 +238,7 @@ _TOLERANCE = Fraction(1, 10**12)  # source tail mass a truncated closed form may
 
 
 def _terms_for_tolerance(src: ProbVector, tol: Fraction) -> int:
-    """Fewest terms n >= 1 with tail_mass(n + 1) <= tol, i.e. with
+    """Fewest terms n >= 1 whose source tail leaves at most tol, i.e. with
     prefix(n + 1) >= 1 - tol: the digit of 1 - tol, or one less when that
     digit's own prefix already equals 1 - tol, which is when the point
     shifted by the digit is 0."""

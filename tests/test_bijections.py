@@ -48,7 +48,9 @@ def test_table_lookup_and_identity_tail():
 
 
 def test_table_inverse_table():
-    assert TablePermutation((2, 3, 1)).inverted() == TablePermutation((3, 1, 2))
+    phi = TablePermutation((2, 3, 1))
+    inverse = TablePermutation(tuple(phi.inverse(m) for m in range(1, 4)))
+    assert inverse == TablePermutation((3, 1, 2))
     assert TablePermutation((1, 2, 3)).is_identity()
 
 

@@ -4,6 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,6 +364,26 @@ def test_sample_io_error_exits_4(capsys, tmp_path):
     code, _, err = run(capsys, ["sample", *SWAP, "--count", "4", "--out", str(tmp_path)])
     assert code == 4
     assert "i/o error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, wanted",
+    # a reader that takes one byte of a 10 MB grid, and one that takes nothing of
+    # two short lines, which stay buffered until the process flushes them
+    [(["sample", "--count", "200000"], 1), (["decode", "--x", "1/3"], 0)],
+)
+def test_a_reader_that_closes_early_leaves_stderr_empty(argv, wanted):
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as into any pipe by default
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "probdigit.cli", *argv]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        assert len(child.stdout.read(wanted)) == wanted
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert (code, err) == (4, b"")
 
 
 def test_selfcheck_default_config_passes(capsys):

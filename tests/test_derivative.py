@@ -20,7 +20,6 @@ from probdigit import (
     cylinder,
     cylinder_derivative,
     derivative_ratio,
-    digit_counts,
     expected_log_ratio,
 )
 from probdigit.core import log_rational
@@ -70,30 +69,13 @@ class TestCylinderDerivative:
     def test_equals_factored_form(self, digits, swap_remap):
         seq = DigitSeq(tuple(digits))
         product = F(1)
-        for digit, count in digit_counts(seq, len(seq)).counts.items():
+        for digit, count in Counter(seq.digits).items():
             product *= derivative_ratio(swap_remap, digit) ** count
         assert cylinder_derivative(swap_remap, seq) == product
 
     def test_empty_prefix_rejected(self, swap_remap):
         with pytest.raises(ValueError):
             cylinder_derivative(swap_remap, DigitSeq())
-
-
-class TestDigitCounts:
-    def test_frozen(self):
-        assert digit_counts(DigitSeq.of(1, 2, 1, 3), 4).counts == {1: 2, 2: 1, 3: 1}
-        assert digit_counts(DigitSeq.of(1, 1, 1), 2).counts == {1: 2}
-
-    @given(digit_lists, st.data())
-    def test_counts_sum_to_horizon(self, digits, data):
-        horizon = data.draw(st.integers(0, len(digits)))
-        stats = digit_counts(DigitSeq(tuple(digits)), horizon)
-        assert sum(stats.counts.values()) == horizon
-        assert all(c > 0 for c in stats.counts.values())
-
-    def test_horizon_bounds(self):
-        with pytest.raises(ValueError):
-            digit_counts(DigitSeq.of(1, 2), 3)
 
 
 class TestClassifyPoint:
@@ -142,10 +124,12 @@ class TestClassifyPoint:
         assert Counter(calls) == Counter(expected)
 
     def test_report_mentions_window_and_counts(self, swap_remap):
-        text = classify_point(swap_remap, DigitSeq.of(*([1, 2] * 5)), 10).report()
-        assert "inconclusive" in text
-        assert "window: 6..10" in text
-        assert ">= at" in text
+        found = classify_point(swap_remap, DigitSeq.of(*([1, 2] * 5)), 10)
+        assert found.verdict is Verdict.INCONCLUSIVE
+        assert (found.horizon, found.window_start) == (10, 6)
+        # digit 2 gains mass and digit 1 loses it, so every position differs
+        assert (found.window_ge, found.window_le, found.window_ne) == (3, 2, 5)
+        assert (found.total_ge, found.total_le, found.total_ne) == (5, 5, 10)
 
 
 ratios = st.fractions(min_value=F(1, 10), max_value=F(8, 9), max_denominator=20)
@@ -168,7 +152,7 @@ def direct_log_ratio_law(remap):
     src = remap.source
     weights, logs = [], []
     j = 1
-    while src.tail_mass(j) >= F(1, 10**18):
+    while 1 - src.prefix(j) >= F(1, 10**18):
         weights.append(float(src.p(j)))
         logs.append(log_rational(derivative_ratio(remap, j)))
         j += 1

