@@ -166,6 +166,16 @@ class TestDigitSeq:
         with pytest.raises(ValueError):
             DigitSeq((1,), tail=0)
 
+    def test_compare_sees_through_tails(self, half, twothirds):
+        # the value order is the order of the infinite strings, tails included
+        for pv in (half, twothirds):
+            def value(seq):
+                return evaluate(pv, seq).value
+
+            assert value(DigitSeq.of(2)) == value(DigitSeq.of(2, 1))
+            assert value(DigitSeq.of(1, 3)) < value(DigitSeq.of(2))
+            assert value(DigitSeq.of(1, tail=2)) > value(DigitSeq.of(1, 2))
+
 
 class TestEvaluate:
     def test_all_ones_is_zero(self, half):
