@@ -221,50 +221,47 @@ class ProbVector:
         return log_rational(coeff), min(log_rational(ratio), -math.ulp(0.0)), max_digit, start
 
     def digit_of(self, x: Rational) -> int:
-        """The unique digit n with prefix(n) <= x < prefix(n+1).
+        """The unique digit n with prefix(n) <= x < prefix(n+1): one `_shift` step.
 
         The bits of the exact prefix(n) grow linearly in n, so a huge digit
         would be searched for without end; one whose prefix needs more than
         MAX_PREFIX_BITS bits raises DomainError.  At that budget a whole
-        search stays under a second (2-vCPU host).
+        search from digit 1 stays under a second (2-vCPU host).
         """
         x = _as_point(x)
-        return self._shift(x.numerator, x.denominator)[0]
+        return self._shift(x.numerator, x.denominator)[0][0]
 
-    def _shift(self, num: int, den: int) -> tuple[int, int, int]:
-        """The digit n of x = num/den, for 0 <= x < 1 in lowest terms, and the
-        shifted point (x - prefix(n)) / p(n) as a pair (num', den').
-
-        The guess inverts the prefix form 1 - x = coeff * ratio**n in floats
-        (big-integer logs of 1 - x only when it underflows), clamped to
-        1..max digit.  It is taken when the shifted point lands in [0, 1),
-        which is prefix(n) <= x < prefix(n+1) checked exactly; otherwise
-        galloping up from the guess and bisection find the digit, comparing
-        prefix(m) <= x by cross-multiplication.
-        """
-        log_coeff, log_ratio, max_digit, _ = self._digit_search
-        rem = (den - num) / den
-        log_rem = math.log(rem) if rem > 0.0 else math.log(den - num) - math.log(den)
-        n = math.floor(min(max((log_rem - log_coeff) / log_ratio, 1.0), max_digit))
-        a, c, e, _, _ = self._int_entry(n)
-        shifted = _into_cylinder(num, den, a, c, e)
+    def _shift(self, num: int, den: int, most: int = 1) -> tuple[list[int], int, int]:
+        """Up to `most` digits of x = num/den, 0 <= x < 1 in lowest terms, and
+        the point shifted past their cylinder [a/e, (a + c)/e), (x - a/e) / (c/e),
+        as a pair (num', den'): the digits `_guess_block` guesses from x rounded
+        to a float once one exact test confirms that x lies in their cylinder,
+        else the one digit `_search` finds without floats."""
+        block, a, c, e = self._guess_block(num / den, most)
+        shifted = _into_cylinder(num, den, a, c, e) if block else None
         if shifted is None:
-            # invariant: prefix(lo) <= x < prefix(hi + 1)
-            lo, hi = 1, n
-            while self._prefix_at_most(hi + 1, num, den):
-                if hi >= max_digit:
-                    raise DomainError(f"digit exceeds {max_digit}: its prefix needs over {MAX_PREFIX_BITS} bits")
-                lo, hi = hi + 1, min(2 * hi, max_digit)
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if self._prefix_at_most(mid, num, den):
-                    lo = mid
-                else:
-                    hi = mid - 1
-            n = lo
-            a, c, e, _, _ = self._int_entry(n)
+            block = [self._search(num, den)]
+            a, c, e, _, _ = self._int_entry(block[0])
             shifted = _into_cylinder(num, den, a, c, e)
-        return n, *shifted
+        return block, *shifted
+
+    def _search(self, num: int, den: int) -> int:
+        """The digit n of x = num/den without floats: galloping up from digit 1,
+        then bisection, comparing prefix(m) <= x by cross-multiplication, so
+        every entry read is of a digit <= 2n + 1 and the cost is set by n."""
+        max_digit = self._digit_search[2]
+        lo, hi = 1, 1  # invariant: prefix(lo) <= x < prefix(hi + 1)
+        while self._prefix_at_most(hi + 1, num, den):
+            if hi >= max_digit:
+                raise DomainError(f"digit exceeds {max_digit}: its prefix needs over {MAX_PREFIX_BITS} bits")
+            lo, hi = hi + 1, min(2 * hi, max_digit)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if self._prefix_at_most(mid, num, den):
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
 
     def _prefix_at_most(self, m: int, num: int, den: int) -> bool:
         a, _, e, _, _ = self._int_entry(m)
@@ -279,20 +276,24 @@ class ProbVector:
         adds _ROUNDING, for the rounding of its float cylinder's ends and of
         its step, and the step divides err by p.  A digit is taken only when
         the float point lies more than err inside the digit's float cylinder
-        [prefix, prefix + p).  From the prefix form's start on, `_shift`'s
-        float inverse g of the form is the digit plus the point's place
-        inside it, so a g within the point's error of an integer ends the
-        block before that digit's entry is read; before the start the guess
-        walks up from digit 1.  The block also ends before a digit past
-        DIGIT_CAP + 1, which `_shift` reads exactly, and once the float width
-        falls below _BLOCK_WIDTH, where err nears 2**-9.  The digits are only
-        a guess; `decode` confirms them.
+        [prefix, prefix + p).  From the prefix form's start on, g, the core's
+        one float inverse of 1 - x = coeff * ratio**g, is the digit plus the
+        point's place inside it, so a g within the point's error of an
+        integer, past the max digit or no number ends the block before that
+        digit's entry is read; before the start the guess walks up from digit
+        1 within the integer table.  The block also ends once the float width
+        falls below _BLOCK_WIDTH, where err nears 2**-9.  A guess that stops at
+        its first digit still offers the digit it stopped at, up to the max
+        digit, if the integer table holds it or a slop below 1/2 puts it within
+        one of x's digit; from g that is the digit that begins within slop of g,
+        x's digit when x is that boundary exactly, as a finite digit string's
+        value often is.  The digits are only a guess; `_shift` confirms them.
         """
         log_coeff, log_ratio, max_digit, start = self._digit_search
         scale, top = -1.0 / log_ratio, min(max_digit, DIGIT_CAP + 1)
         head, entry, log = self._int_head, self._int_entry, math.log
-        block_width, rounding, past_top = _BLOCK_WIDTH, _ROUNDING, top + 1
-        block, a, c, e = [], 0, 1, 1
+        block_width, rounding, past_max = _BLOCK_WIDTH, _ROUNDING, max_digit + 1
+        block, a, c, e, n = [], 0, 1, 1, 0
         width, err = 1.0, 0.0
         while most and width >= block_width:
             err += rounding
@@ -306,10 +307,10 @@ class ProbVector:
                 while xf >= lo + m and n < top:
                     n += 1
                     an, cn, en, lo, m = head.get(n) or entry(n)
-            elif g < past_top:  # False for inf and nan too: a ratio within float precision of 1
-                n = int(g)
-                slop = err * scale / rem + 1e-12  # 1e-12: the rounding of the logs behind g
-                if g - slop < n or g + slop >= n + 1:
+            elif g < past_max:  # False for inf and nan too: a ratio within float precision of 1
+                slop = err * scale / rem + 1e-12 * g  # 1e-12 g: the rounding of the logs behind g
+                n = int(g + slop)  # the digit, if g - slop >= n; else the one that begins within slop of g
+                if g - slop < n:
                     break
                 an, cn, en, lo, m = head.get(n) or entry(n)
             else:
@@ -320,6 +321,8 @@ class ProbVector:
             a, c, e = a * en + an * c, c * cn, e * en
             xf, err, width = (xf - lo) / m, err / m, width * m
             most -= 1
+        if not block and 0 < n <= max_digit and (n <= top or slop < 0.5):  # slop is set wherever n > top
+            block, (a, c, e, _, _) = [n], head.get(n) or entry(n)
         return block, a, c, e
 
     def _canonical_key(self) -> tuple[tuple[Fraction, ...], Fraction]:
@@ -545,15 +548,17 @@ def decode(pv: ProbVector, x: Rational, depth: int) -> DigitSeq:
 
     Each digit is the unique one whose prefix interval contains the current
     point (ties at the left endpoint stay with that digit, matching the
-    half-open cylinders), and the point is then rescaled.  The digits are
-    read in blocks: `ProbVector._guess_block` guesses a run of them in
-    floats, and one exact test, that x lies in the cylinder the run spans,
-    confirms the whole run; one rescale by that cylinder gives the next
-    point.  The depth-k cylinders partition [0, 1), so a confirmed run is
-    exactly the digits the one-digit steps would read.  A digit no block
-    confirms (the float point within rounding of a boundary, a digit past
-    DIGIT_CAP + 1, a ratio within float precision of 1) takes the exact
-    one-digit step `ProbVector._shift`.  The point 0 reads digit 1 forever.
+    half-open cylinders), and the point is then rescaled.  Each step,
+    `ProbVector._shift`, reads a run of digits `ProbVector._guess_block`
+    guesses in floats once one exact test, that x lies in the cylinder the
+    run spans, confirms it, and rescales by that cylinder.  The depth-k
+    cylinders partition [0, 1), so a confirmed run is exactly the digits the
+    one-digit steps would read.  Where no run is confirmed (the float point
+    within rounding of a boundary, a ratio within float precision of 1, a
+    point that rounds to 1) the step reads one digit: the one that begins
+    at that boundary if the exact test confirms it, else the one the exact
+    search `ProbVector._search` finds at a cost set by that digit.  The
+    point 0 reads digit 1 forever.
     Exact: decode(evaluate(d)) == d.
     """
     if depth < 1:
@@ -565,15 +570,9 @@ def decode(pv: ProbVector, x: Rational, depth: int) -> DigitSeq:
         if num == 0:  # prefix(1) == 0, so 0 shifts to itself by digit 1
             digits += [1] * (depth - len(digits))
             break
-        block, a, c, e = pv._guess_block(num / den, depth - len(digits))
-        shifted = _into_cylinder(num, den, a, c, e) if block else None
-        if shifted is None:
-            n, num, den = pv._shift(num, den)
-            digits.append(n)
-        else:
-            num, den = shifted
-            digits += block
-    return DigitSeq._unchecked(tuple(digits), 1)  # blocks and _shift give digits >= 1
+        block, num, den = pv._shift(num, den, depth - len(digits))
+        digits += block
+    return DigitSeq._unchecked(tuple(digits), 1)  # _shift gives digits >= 1
 
 
 def shift_value(pv: ProbVector, x: Rational) -> Fraction:

@@ -245,7 +245,7 @@ def _terms_for_tolerance(src: ProbVector, tol: Fraction) -> int:
     if tol >= 1:
         return 1
     x = _as_point(ONE - Fraction(tol))
-    n, shifted, _ = src._shift(x.numerator, x.denominator)
+    (n,), shifted, _ = src._shift(x.numerator, x.denominator)
     return n - 1 if n > 1 and shifted == 0 else n
 
 

@@ -7,12 +7,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from probdigit import DigitSeq, MixedHeadTail, evaluate
 from probdigit.cli import main
 from test_configio import descriptors
 
@@ -55,6 +57,19 @@ def test_decode_domain_error_exits_2(capsys):
     code, _, err = run(capsys, ["decode", "--p", "geometric:1/2", "--x", "1"])
     assert code == 2
     assert "[0, 1)" in err
+
+
+def test_decode_under_a_tail_ratio_within_1e_20_of_one(capsys):
+    # no float guess resolves a digit here, so each is searched for from digit 1;
+    # 64 digits print, and at 256 the cylinder has too many digits to print
+    near_one = "mixed:[1/40]:99999999999999999999/100000000000000000000"
+    pv = MixedHeadTail((Fraction(1, 40),), 1 - Fraction(1, 10**20))
+    x = str(evaluate(pv, DigitSeq.of(2, 2, 5, 10, tail=2)).value)
+    code, out, _ = run(capsys, ["decode", "--p", near_one, "--x", x, "--depth", "64"])
+    assert code == 0
+    assert out.splitlines()[0] == " ".join(["2", "2", "5", "10"] + ["2"] * 60)
+    code, out, err = run(capsys, ["decode", "--p", near_one, "--x", x, "--depth", "256"])
+    assert (code, out, err) == (2, "", "error: the cylinder has over 4300 digits to print\n")
 
 
 def test_eval_g_worked_example(capsys):

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from probdigit import (
     Cylinder,
@@ -25,7 +25,7 @@ from probdigit import (
     evaluate,
     shift_value,
 )
-from probdigit.core import DIGIT_CAP, log_rational
+from probdigit.core import DIGIT_CAP, _into_cylinder, log_rational
 
 F = Fraction
 
@@ -231,7 +231,8 @@ class TestDecode:
             assert decode(pv, evaluate(pv, seq).value, 4) == seq
 
     def test_digit_past_the_float_range_decodes(self, half):
-        # 1 - x underflows a float, so the hint takes big-integer logs
+        # 1 - x underflows a float, x rounds to 1, so no block is guessed and
+        # the exact search gallops from digit 1 up to the digit
         assert decode(half, 1 - F(1, 2**3000), 2) == DigitSeq.of(3001, 1)
 
     def test_a_right_guess_reads_at_most_two_entries(self):
@@ -269,6 +270,15 @@ class TestDecode:
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
         assert len(lines) == 6 and all(line.startswith("digit exceeds ") for line in lines)
+
+    def test_the_first_digit_past_the_bit_budget_is_refused_at_its_left_end(self):
+        # g falls within its slop of that digit's start, and the guess offers it
+        for q in (F(1023, 1024), F(2047, 2048)):
+            pv = Geometric(q)
+            last = pv._digit_search[2]
+            assert pv.digit_of(pv.prefix(last)) == last
+            with pytest.raises(DomainError):
+                pv.digit_of(pv.prefix(last + 1))
 
     def test_decoded_cylinder_contains_the_point(self, half, twothirds):
         for pv in (half, twothirds):
@@ -377,29 +387,56 @@ class TestAgainstFractionReference:
         shifted = (x - pv.prefix(n)) / pv.p(n)
         assert shift_value(pv, x) == shifted
         # the integer step already leaves its pair in lowest terms
-        assert pv._shift(x.numerator, x.denominator) == (n, shifted.numerator, shifted.denominator)
+        assert pv._shift(x.numerator, x.denominator) == ([n], shifted.numerator, shifted.denominator)
 
     @given(ratios, st.lists(st.integers(1, 12), min_size=1, max_size=6))
     def test_fresh_family_fills_only_the_digits_it_reads(self, q, digits):
-        # tail 2 keeps every shifted point inside its cylinder, clear of the
-        # ends, so each float guess is right and the digit read is the only one probed
-        seq = DigitSeq(tuple(digits), tail=2)
-        x = evaluate(Geometric(q), seq).value
-        pv = Geometric(q)
-        assert decode(pv, x, len(digits)).digits == seq.digits
-        assert set(pv._int_head) == set(digits)
+        # tail 2 keeps every shifted point inside its cylinder.  Where each
+        # lies at least 2**-30 inside, in that step's coordinates, the float
+        # guess is sure of every digit and fills only their entries.  Nearer
+        # an end (a slow digit string can leave x within 1e-13 of one, below
+        # the float error) the guess stops and its step tests the digit that
+        # begins at that end, a digit or one above it; where that fails the
+        # digit n is searched for, reading only entries of digits <= 2n + 1.
+        seq, plain = DigitSeq(tuple(digits), tail=2), Geometric(q)
+        points = [evaluate(plain, seq.drop(j)).value for j in range(len(digits))]
+        searches, reads = [], []
+
+        class CountingGeometric(Geometric):
+            def _int_entry(self, n):
+                reads.append(n)
+                return super()._int_entry(n)
+
+            def _search(self, num, den):
+                reads.clear()
+                n = super()._search(num, den)
+                searches.append((n, set(reads)))
+                return n
+
+        pv = CountingGeometric(q)
+        assert decode(pv, points[0], len(digits)).digits == seq.digits
+        margin = F(1, 2**30)
+        if all(plain.prefix(n) + margin <= y <= plain.prefix(n + 1) - margin for n, y in zip(digits, points)):
+            event("every shifted point clear of its cylinder's ends")
+            assert set(pv._int_head) == set(digits) and not searches
+        else:
+            assert all(m <= 2 * n + 1 for n, read in searches for m in read)
+            near = {d + k for d in digits for k in (0, 1)}
+            assert set(pv._int_head) <= near.union(*(read for _, read in searches))
         pv = Geometric(q)
         evaluate(pv, seq)  # also reads the tail digit's entry
         assert set(pv._int_head) == set(digits) | {2}
 
 
 def stepwise_decode(pv, x, depth):
-    """Oracle: one exact `_shift` per digit, the loop `decode` ran before it
-    read digits in blocks."""
+    """Oracle: one exact `_search` per digit and its exact shift, no float
+    guess: the loop `decode` ran before it read digits in blocks."""
     num, den = x.numerator, x.denominator
     digits = []
     for _ in range(depth):
-        n, num, den = pv._shift(num, den)
+        n = pv._search(num, den)
+        a, c, e, _, _ = pv._int_entry(n)
+        num, den = _into_cylinder(num, den, a, c, e)
         digits.append(n)
     return DigitSeq(tuple(digits))
 
@@ -456,13 +493,58 @@ class TestBlockDecode:
         steps = []
 
         class CountingGeometric(Geometric):
-            def _shift(self, num, den):
+            def _search(self, num, den):
                 steps.append(num)
-                return super()._shift(num, den)
+                return super()._search(num, den)
 
         x = F(355, 1133)
         assert decode(CountingGeometric(F(2, 3)), x, 256) == stepwise_decode(Geometric(F(2, 3)), x, 256)
         assert len(steps) < 32
+
+    def test_an_exact_left_end_is_not_searched_for(self):
+        # the guess stops at a point on a cylinder end, and the step first
+        # tests the digit that begins there, which such a point has; past
+        # the integer table too, where g pins that digit to within one
+        class NoSearch:
+            def _search(self, num, den):
+                raise AssertionError("searched")
+
+        class G(NoSearch, Geometric):
+            pass
+
+        class M(NoSearch, MixedHeadTail):
+            pass
+
+        for pv in (G(F(1, 2)), G(F(2, 3)), G(F(1, 20)), G(F(19, 20)), G(F(999, 1000)), M((F(1, 3), F(1, 5)), F(8, 9))):
+            for n in (*range(2, DIGIT_CAP + 2), 100, 1000):
+                x = pv.prefix(n)
+                if x <= 1 - F(1, 2**40):  # 1 - x far above the float error
+                    assert decode(pv, x, 1) == DigitSeq.of(n)
+
+    def test_a_search_reads_only_digits_up_to_twice_its_own(self):
+        # a ratio within 1e-20 of 1 leaves the float guess no resolution, so
+        # every digit is searched for; galloping up from digit 1 and bisecting
+        # reads only entries of digits <= 2n + 1, a few per search, never the
+        # 10**5-bit triples of digits near the max digit (about 3900 here)
+        searches, reads = [], []
+
+        class CountingMixed(MixedHeadTail):
+            def _int_entry(self, n):
+                reads.append(n)
+                return super()._int_entry(n)
+
+            def _search(self, num, den):
+                reads.clear()
+                n = super()._search(num, den)
+                searches.append((n, list(reads)))
+                return n
+
+        q = 1 - F(1, 10**20)
+        x = evaluate(MixedHeadTail((F(1, 40),), q), DigitSeq.of(2, 2, 5, 10, tail=2)).value
+        assert decode(CountingMixed((F(1, 40),), q), x, 256) == DigitSeq((2, 2, 5, 10) + (2,) * 252)
+        assert [n for n, _ in searches] == [2, 2, 5, 10] + [2] * 252
+        assert all(m <= 2 * n + 1 for n, read in searches for m in read)
+        assert all(len(read) <= 2 * n.bit_length() + 1 for n, read in searches)
 
 
 class TestShift:
