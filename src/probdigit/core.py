@@ -236,25 +236,25 @@ class ProbVector:
         the point shifted past their cylinder [a/e, (a + c)/e), (x - a/e) / (c/e),
         as a pair (num', den'): the digits `_guess_block` guesses from x rounded
         to a float once one exact test confirms that x lies in their cylinder,
-        else the one digit `_search` finds without floats."""
-        block, a, c, e = self._guess_block(num / den, most)
+        else the one digit `_search` finds without floats from the guess's bound."""
+        block, a, c, e, low = self._guess_block(num / den, most)
         shifted = _into_cylinder(num, den, a, c, e) if block else None
         if shifted is None:
-            block = [self._search(num, den)]
+            block = [self._search(num, den, low)]
             a, c, e, _, _ = self._int_entry(block[0])
             shifted = _into_cylinder(num, den, a, c, e)
         return block, *shifted
 
-    def _search(self, num: int, den: int) -> int:
-        """The digit n of x = num/den without floats: galloping up from digit 1,
-        then bisection, comparing prefix(m) <= x by cross-multiplication, so
-        every entry read is of a digit <= 2n + 1 and the cost is set by n."""
+    def _search(self, num: int, den: int, low: int = 1) -> int:
+        """The digit n of x = num/den without floats: galloping up from `low`,
+        then bisecting, comparing prefix(m) <= x by cross-multiplication, so
+        from low <= n it reads only digits <= 2n + 1, at a cost set by n - low."""
         max_digit = self._digit_search[2]
-        lo, hi = 1, 1  # invariant: prefix(lo) <= x < prefix(hi + 1)
+        lo, hi = 1, max(low - 1, 1)  # invariant: prefix(lo) <= x < prefix(hi + 1)
         while self._prefix_at_most(hi + 1, num, den):
             if hi >= max_digit:
                 raise DomainError(f"digit exceeds {max_digit}: its prefix needs over {MAX_PREFIX_BITS} bits")
-            lo, hi = hi + 1, min(2 * hi, max_digit)
+            lo, hi = hi + 1, min(2 * hi + 2 - low, max_digit)
         while lo < hi:
             mid = (lo + hi + 1) // 2
             if self._prefix_at_most(mid, num, den):
@@ -267,10 +267,10 @@ class ProbVector:
         a, _, e, _, _ = self._int_entry(m)
         return a * den <= num * e
 
-    def _guess_block(self, xf: float, most: int) -> tuple[list[int], int, int, int]:
+    def _guess_block(self, xf: float, most: int) -> tuple[list[int], int, int, int, int]:
         """Up to `most` digits of a point x guessed from xf, x rounded to a
-        float, and the cylinder they span as integers (a, c, e), accumulated
-        as `evaluate` does: it starts at a/e and is c/e wide.
+        float, their cylinder as integers (a, c, e), which starts at a/e and is
+        c/e wide as `evaluate` accumulates it, and a bound low <= x's digit.
 
         err bounds the float point's distance from the true one: each digit
         adds _ROUNDING, for the rounding of its float cylinder's ends and of
@@ -283,24 +283,24 @@ class ProbVector:
         digit's entry is read; before the start the guess walks up from digit
         1 within the integer table.  The block also ends once the float width
         falls below _BLOCK_WIDTH, where err nears 2**-9.  A guess that stops at
-        its first digit still offers the digit it stopped at, up to the max
-        digit, if the integer table holds it or a slop below 1/2 puts it within
-        one of x's digit; from g that is the digit that begins within slop of g,
-        x's digit when x is that boundary exactly, as a finite digit string's
-        value often is.  The digits are only a guess; `_shift` confirms them.
+        its first digit offers the digit it stopped at if the table holds it,
+        x's digit when x is its left end, as a digit string's value is, else
+        bounds x's digit by g - slop, so a search next to the max digit reads
+        a few ~2**18-bit entries, not ~30.  `_shift` and `_search` test both.
         """
         log_coeff, log_ratio, max_digit, start = self._digit_search
         scale, top = -1.0 / log_ratio, min(max_digit, DIGIT_CAP + 1)
         head, entry, log = self._int_head, self._int_entry, math.log
         block_width, rounding, past_max = _BLOCK_WIDTH, _ROUNDING, max_digit + 1
         block, a, c, e, n = [], 0, 1, 1, 0
-        width, err = 1.0, 0.0
+        width, err, g, slop = 1.0, 0.0, 0.0, 0.0
         while most and width >= block_width:
             err += rounding
             rem = 1.0 - xf
             if rem <= err:
                 break
             g = (log_coeff - log(rem)) * scale
+            slop = err * scale / rem + 1e-12 * g  # 1e-12 g: the rounding of the logs behind g
             if g < start:
                 n = 1
                 an, cn, en, lo, m = head.get(1) or entry(1)
@@ -308,7 +308,6 @@ class ProbVector:
                     n += 1
                     an, cn, en, lo, m = head.get(n) or entry(n)
             elif g < past_max:  # False for inf and nan too: a ratio within float precision of 1
-                slop = err * scale / rem + 1e-12 * g  # 1e-12 g: the rounding of the logs behind g
                 n = int(g + slop)  # the digit, if g - slop >= n; else the one that begins within slop of g
                 if g - slop < n:
                     break
@@ -321,9 +320,10 @@ class ProbVector:
             a, c, e = a * en + an * c, c * cn, e * en
             xf, err, width = (xf - lo) / m, err / m, width * m
             most -= 1
-        if not block and 0 < n <= max_digit and (n <= top or slop < 0.5):  # slop is set wherever n > top
+        if not block and 0 < n <= top:  # the walk's digit, or the one that begins within slop of g
             block, (a, c, e, _, _) = [n], head.get(n) or entry(n)
-        return block, a, c, e
+        low = int(min(g - slop, max_digit)) if not block and g - slop >= 1 else 1  # nan: no bound
+        return block, a, c, e, low
 
     def _canonical_key(self) -> tuple[tuple[Fraction, ...], Fraction]:
         """(_cum, ratio) of the shortest head: a last head mass h that the
@@ -555,10 +555,10 @@ def decode(pv: ProbVector, x: Rational, depth: int) -> DigitSeq:
     cylinders partition [0, 1), so a confirmed run is exactly the digits the
     one-digit steps would read.  Where no run is confirmed (the float point
     within rounding of a boundary, a ratio within float precision of 1, a
-    point that rounds to 1) the step reads one digit: the one that begins
-    at that boundary if the exact test confirms it, else the one the exact
-    search `ProbVector._search` finds at a cost set by that digit.  The
-    point 0 reads digit 1 forever.
+    point that rounds to 1) the step reads one digit: the table digit that
+    begins at that boundary if the exact test confirms it, else the one the
+    exact search `ProbVector._search` finds above the guess's bound, at a
+    cost set by that digit.  The point 0 reads digit 1 forever.
     Exact: decode(evaluate(d)) == d.
     """
     if depth < 1:
