@@ -22,7 +22,6 @@ from .core import (
     MixedHeadTail,
     ProbVector,
     as_fraction,
-    constant_point,
     cylinder,
     decode,
     evaluate,
@@ -80,7 +79,6 @@ __all__ = [
     "as_fraction",
     "classify_point",
     "closed_form_integral",
-    "constant_point",
     "cylinder",
     "cylinder_derivative",
     "decode",

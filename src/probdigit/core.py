@@ -28,14 +28,14 @@ confirms takes that exact step.
 Each family records its shape once, as a head of masses p_1 .. p_m, the
 mass left after it and the ratio of the geometric tail that spreads that
 mass; its integer triple for digit n, prefix(n) = a/e and p(n) = c/e over
-one denominator, and its prefix form both follow from that record, without
-a `Fraction` per digit.  `decode`, `evaluate`, the derivative ratios and the
-series of `probdigit.remap` read only these triples.  Nearly every digit
-read is small (digits are i.i.d. with the weight law), so one table per
-family keeps the triple of each digit n <= DIGIT_CAP + 1, with its two
-floats for decode's guess, from the first time that digit is used; larger
-digits are computed on every call and never stored.  The exact `p(n)` and
-`prefix(n)` each family also gives are computed on every call.
+one denominator, follows from that record without a `Fraction` per digit.
+`decode`, `evaluate`, the derivative ratios and the series of
+`probdigit.remap` read only these triples.  Nearly every digit read is small
+(digits are i.i.d. with the weight law), so one table per family keeps the
+triple of each digit n <= DIGIT_CAP + 1, with its two floats for decode's
+guess, from the first time that digit is used; larger digits are computed on
+every call and never stored.  The exact `p(n)` and `prefix(n)` each family
+also gives are computed on every call.
 """
 
 from __future__ import annotations
@@ -57,10 +57,8 @@ MAX_PREFIX_BITS = 1 << 18  # bit budget of one exact prefix; see ProbVector.digi
 # Digits 1..DIGIT_CAP + 1: each family keeps their integer triples, and the
 # float path enumerates them one by one
 DIGIT_CAP = 64
-# decode's float guess (ProbVector._guess_block): a block ends before its float
-# width drops below _BLOCK_WIDTH, and each digit adds _ROUNDING to the bound on
-# the float point's error, for the rounding of its cylinder ends and its step
-_BLOCK_WIDTH = 2.0**-40
+# decode's float guess (ProbVector._guess_block): each digit adds _ROUNDING to the
+# bound on the float point's error, for the rounding of its cylinder ends and its step
 _ROUNDING = 2.0**-49
 
 
@@ -116,14 +114,6 @@ def _check_digit(j: int) -> int:
     return j
 
 
-class GeometricForm(NamedTuple):
-    """Closed form valid from `start` on: prefix(n) = 1 - coeff * ratio**n."""
-
-    start: int
-    coeff: Fraction
-    ratio: Fraction
-
-
 class ProbVector:
     """Base class for closed-form weight families on the positive integers.
 
@@ -133,8 +123,9 @@ class ProbVector:
     with ``_set_form`` and gives the exact ``p(j)`` and ``prefix(n)`` (mass
     strictly below digit ``n``, so ``prefix(1) == 0``) as `Fraction` closed
     forms.  The rest follows here from the record: the integer ``_triple``
-    behind the table ``_int_head`` that the library reads, ``prefix_form``,
-    the float hint for the digit search and the key of equality.
+    behind the table ``_int_head`` that the library reads, the float hint
+    for the digit search and the key of equality; the tail starts at digit
+    ``len(_cum)``.
     Instances are immutable and compare equal when they assign the same mass
     to every digit, regardless of how they were described.
     """
@@ -164,14 +155,6 @@ class ProbVector:
 
     def prefix(self, n: int) -> Fraction:
         raise NotImplementedError
-
-    def prefix_form(self) -> GeometricForm:
-        """prefix(n) = 1 - (l/d) q**(n-m-1) past the head, with q = u/v:
-        coeff = l v**(m+1) / (d u**(m+1))."""
-        m = len(self._cum) - 1
-        l, d = self._leftover.as_integer_ratio()
-        u, v = self._ratio.as_integer_ratio()
-        return GeometricForm(m + 1, Fraction(l * v ** (m + 1), d * u ** (m + 1)), self._ratio)
 
     @cached_property
     def _int_head(self) -> dict[int, tuple[int, int, int, float, float]]:
@@ -213,12 +196,14 @@ class ProbVector:
 
     @cached_property
     def _digit_search(self) -> tuple[float, float, int, int]:
-        # ln coeff and ln ratio of the prefix form (the log of a ratio within
-        # float precision of 1 is kept negative), max digit: past `start`,
+        # ln coeff and ln ratio of the prefix form prefix(n) = 1 - coeff * ratio**n from
+        # the tail's first digit `start` on, coeff = leftover / ratio**start (the log of
+        # a ratio within float precision of 1 is kept negative), max digit: past `start`,
         # each digit adds the bits of the ratio's denominator, and `start`
-        start, coeff, ratio = self.prefix_form()
+        start, ratio = len(self._cum), self._ratio
         max_digit = start + MAX_PREFIX_BITS // ratio.denominator.bit_length()
-        return log_rational(coeff), min(log_rational(ratio), -math.ulp(0.0)), max_digit, start
+        log_ratio = min(log_rational(ratio), -math.ulp(0.0))
+        return log_rational(self._leftover / ratio**start), log_ratio, max_digit, start
 
     def digit_of(self, x: Rational) -> int:
         """The unique digit n with prefix(n) <= x < prefix(n+1): one `_shift` step.
@@ -276,25 +261,26 @@ class ProbVector:
         adds _ROUNDING, for the rounding of its float cylinder's ends and of
         its step, and the step divides err by p.  A digit is taken only when
         the float point lies more than err inside the digit's float cylinder
-        [prefix, prefix + p).  From the prefix form's start on, g, the core's
-        one float inverse of 1 - x = coeff * ratio**g, is the digit plus the
+        [prefix, prefix + p); as err is at least _ROUNDING over the block's
+        float width, that margin ends a block before its width falls below
+        twice _ROUNDING.  From the prefix form's start on, g, the core's one
+        float inverse of 1 - x = coeff * ratio**g, is the digit plus the
         point's place inside it, so a g within the point's error of an
         integer, past the max digit or no number ends the block before that
         digit's entry is read; before the start the guess walks up from digit
-        1 within the integer table.  The block also ends once the float width
-        falls below _BLOCK_WIDTH, where err nears 2**-9.  A guess that stops at
-        its first digit offers the digit it stopped at if the table holds it,
-        x's digit when x is its left end, as a digit string's value is, else
-        bounds x's digit by g - slop, so a search next to the max digit reads
-        a few ~2**18-bit entries, not ~30.  `_shift` and `_search` test both.
+        1 within the integer table.  A guess that stops at its first digit
+        offers the digit it stopped at if the table holds it, x's digit when x
+        is its left end, as a digit string's value is, else bounds x's digit
+        by g - slop, so a search next to the max digit reads a few ~2**18-bit
+        entries, not ~30.  `_shift` and `_search` test both.
         """
         log_coeff, log_ratio, max_digit, start = self._digit_search
         scale, top = -1.0 / log_ratio, min(max_digit, DIGIT_CAP + 1)
         head, entry, log = self._int_head, self._int_entry, math.log
-        block_width, rounding, past_max = _BLOCK_WIDTH, _ROUNDING, max_digit + 1
+        rounding, past_max = _ROUNDING, max_digit + 1
         block, a, c, e, n = [], 0, 1, 1, 0
-        width, err, g, slop = 1.0, 0.0, 0.0, 0.0
-        while most and width >= block_width:
+        err, g, slop = 0.0, 0.0, 0.0
+        while most:
             err += rounding
             rem = 1.0 - xf
             if rem <= err:
@@ -318,7 +304,7 @@ class ProbVector:
                 break
             block.append(n)
             a, c, e = a * en + an * c, c * cn, e * en
-            xf, err, width = (xf - lo) / m, err / m, width * m
+            xf, err = (xf - lo) / m, err / m
             most -= 1
         if not block and 0 < n <= top:  # the walk's digit, or the one that begins within slop of g
             block, (a, c, e, _, _) = [n], head.get(n) or entry(n)
@@ -498,15 +484,6 @@ class Cylinder:
 
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x < self.hi
-
-
-def constant_point(pv: ProbVector, digit: int) -> Fraction:
-    """Exact value of the sequence repeating one digit forever.
-
-    Summing the geometric series gives prefix(d) / (1 - p_d), the constant
-    tail `evaluate` closes after an empty prefix; digit 1 yields 0.
-    """
-    return evaluate(pv, DigitSeq(tail=digit)).value
 
 
 def _into_cylinder(num: int, den: int, a: int, c: int, e: int) -> tuple[int, int] | None:

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DIGIT_CAP, constant_point, log_rational
+from .core import DIGIT_CAP, log_rational
 from .remap import DigitRemap
 
 _BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -109,7 +109,9 @@ def _build_tables(remap: DigitRemap) -> _FloatTables:
     for i in np.flatnonzero(~np.isfinite(log_ratio)).tolist():
         (_, c, e, _, _), (_, C, E, _, _) = entries[i], images[i]
         log_ratio[i] = log_rational(Fraction(C * e, E * c))
-    tail_const = float(constant_point(tgt, phi.apply(1)))
+    # the image of the all-ones tail, prefix / (1 - p) at phi(1), one int/int division
+    a, c, e, _, _ = images[0]
+    tail_const = a / (e - c)
     # bucket b holds [b, b + 1) / _BUCKETS; its two ends, looked up the slow way,
     # say whether it spans a digit boundary, and one that reaches the last
     # boundary is flagged too, so that the fallback sees every point past it

@@ -76,16 +76,17 @@ class DigitRemap:
         target's at phi(j), o_phi(j) and tail_target(phi(j)) over E.  A digit
         before `start` is a class of one; each later row stands for its class
         and scales by q and t."""
-        sv, tv = self.source.prefix_form(), self.target.prefix_form()
+        src, tgt = self.source, self.target
         start, period, offsets = self.digit_map.eventual_structure()
-        start = max(sv.start, start, tv.start + max(abs(c) for c in offsets))
-        source, target, apply = self.source._int_entry, self.target._int_entry, self.digit_map.apply
+        # each family's tail starts at len(_cum), one digit past its head
+        start = max(len(src._cum), start, len(tgt._cum) + max(abs(c) for c in offsets))
+        source, target, apply = src._int_entry, tgt._int_entry, self.digit_map.apply
         rows = []
         for j in range(1, start + period):
             a, c, e, _, _ = source(j)
             A, C, E, _, _ = target(apply(j))
             rows.append((c, e - a, e, C, E - A, E))
-        return start, period, sv.ratio**period, tv.ratio**period, tuple(rows)
+        return start, period, src._ratio**period, tgt._ratio**period, tuple(rows)
 
     @cached_property
     def _sums(self) -> tuple[Fraction, Fraction]:

@@ -19,7 +19,6 @@ from probdigit import (
     InvalidDistribution,
     MixedHeadTail,
     as_fraction,
-    constant_point,
     cylinder,
     decode,
     evaluate,
@@ -78,9 +77,8 @@ class TestProbVector:
     def test_prefix_plus_tail_is_one(self, pv, n):
         assert pv.prefix(1) == 0
         # the mass of digits >= n: the head masses up to the tail's start, then the tail's sum
-        start, _, ratio = pv.prefix_form()
-        k = max(n, start)
-        assert pv.prefix(n) + sum(pv.p(j) for j in range(n, k)) + pv.p(k) / (1 - ratio) == 1
+        k = max(n, len(pv._cum))
+        assert pv.prefix(n) + sum(pv.p(j) for j in range(n, k)) + pv.p(k) / (1 - pv._ratio) == 1
         assert pv.prefix(n) < 1
 
     @given(vectors(), st.integers(1, 40))
@@ -90,11 +88,14 @@ class TestProbVector:
 
     @given(vectors(), st.integers(1, 60))
     def test_closed_forms_match_termwise_definition(self, pv, n):
-        start, coeff, ratio = pv.prefix_form()
+        # the recorded shape: the tail spreads the leftover l from digit start on
+        start, leftover, ratio = len(pv._cum), pv._leftover, pv._ratio
         if n >= start:
-            assert pv.prefix(n) == 1 - coeff * ratio**n
+            assert pv.prefix(n) == 1 - leftover * ratio ** (n - start)
             # the law is the prefix form's step, prefix(n + 1) - prefix(n)
-            assert pv.p(n) == coeff * (1 - ratio) * ratio**n
+            assert pv.p(n) == leftover * (1 - ratio) * ratio ** (n - start)
+        # the digit search's ln coeff is that of prefix(n) = 1 - coeff * ratio**n
+        assert pv._digit_search[0] == log_rational(leftover / ratio**start)
 
     def test_semantic_equality_across_families(self, half):
         also_half = MixedHeadTail((F(1, 2),), F(1, 2))
@@ -190,8 +191,7 @@ class TestEvaluate:
         assert evaluate(half, DigitSeq.of(1, 2)).value == F(1, 4)
 
     def test_constant_tail_sums_geometric_series(self, twothirds):
-        assert constant_point(twothirds, 2) == F(1, 3) / (1 - F(2, 9))
-        assert evaluate(twothirds, DigitSeq(tail=2)).value == F(3, 7)
+        assert evaluate(twothirds, DigitSeq(tail=2)).value == F(1, 3) / (1 - F(2, 9)) == F(3, 7)
 
     @given(vectors(), digit_lists)
     def test_shift_identity(self, pv, digits):

@@ -25,7 +25,6 @@ from probdigit import (
     as_fraction,
     classify_point,
     closed_form_integral,
-    constant_point,
     decode,
     shift_value,
 )
@@ -45,8 +44,6 @@ DIGIT_ENTRY_POINTS = {
     "MixedHeadTail.prefix": MIXED.prefix,
     "DigitSeq.digits": lambda n: DigitSeq((1, n)),
     "DigitSeq.tail": lambda n: DigitSeq((1,), n),
-    # with digit 1's entry cached first, a lookup alone would accept True
-    "constant_point": lambda n: (constant_point(HALF, 1), constant_point(HALF, n)),
     "Identity.apply": Identity().apply,
     "Identity.inverse": Identity().inverse,
     "PairSwap.apply": PairSwap().apply,

@@ -331,7 +331,8 @@ def test_values_equal_the_clamped_loop_off_the_past_cap_points(
 def assert_tables_are_the_rounded_fractions(remap):
     """Oracle: the source prefix and mass, the target prefix and mass at phi
     and the log ratio, each rounded from its exact `Fraction`, for the digits
-    the remap's float tables hold; the tables read them off integer triples."""
+    the remap's float tables hold, and the image of the all-ones tail; the
+    tables read them off integer triples."""
     src, tgt, phi = remap.source, remap.target, remap.digit_map
     t = numeric._tables(remap)
     image = [phi.apply(n) for n in range(1, t.mass.size + 1)]
@@ -345,6 +346,8 @@ def assert_tables_are_the_rounded_fractions(remap):
     assert np.array_equal(t.mass, mass) and np.array_equal(t.image_mass, image_mass)
     assert np.array_equal(t.image_prefix, [float(tgt.prefix(m)) for m in image])
     assert np.array_equal(t.log_ratio, log_ratio)
+    m = phi.apply(1)  # the all-ones tail's image: the constant tail phi(1)'s geometric series
+    assert t.tail_const == float(tgt.prefix(m) / (1 - tgt.p(m)))
 
 
 # 65 to 80 head digits: the tables run past DIGIT_CAP to the closed form's start
