@@ -26,6 +26,7 @@ from probdigit import (
     classify_point,
     closed_form_integral,
     decode,
+    derivative_ratio,
     shift_value,
 )
 from probdigit.configio import parse_distribution, render_distribution
@@ -44,6 +45,8 @@ DIGIT_ENTRY_POINTS = {
     "MixedHeadTail.prefix": MIXED.prefix,
     "DigitSeq.digits": lambda n: DigitSeq((1, n)),
     "DigitSeq.tail": lambda n: DigitSeq((1,), n),
+    # with digit 1's integer entries cached first, a lookup alone would accept True
+    "derivative_ratio": lambda n: (derivative_ratio(SWAP, 1), derivative_ratio(SWAP, n)),
     "Identity.apply": Identity().apply,
     "Identity.inverse": Identity().inverse,
     "PairSwap.apply": PairSwap().apply,
